@@ -30,6 +30,7 @@ from .factors import (
     FactorDecomposition,
     FactorSpec,
     count_f_factors,
+    factor_census,
     factor_lower_bound,
     find_f_factor,
     matching_count_closed_form,
@@ -61,7 +62,6 @@ from .partition import (
     degree_meets_threshold,
     derive_seed,
     estimate_good_probability,
-    event_threshold,
     hypergeometric_tail_bound,
     random_bisection,
     sample_hypergeometric,
@@ -74,12 +74,9 @@ from .paths import (
     EndPair,
     PowerCycle,
     clique_graph,
-    default_connector_max_vertices,
     enumerate_hamilton_ell_cycles,
     find_clique,
     find_hamilton_ell_path,
-    find_short_connector,
-    is_hamilton_path_connected,
     validate_ell_cycle,
     validate_ell_path,
     validate_power_cycle,

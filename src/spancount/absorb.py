@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import InvalidQueryError, InvalidStructureError
 from .hypergraphs import Hypergraph
-from .paths import EllPath, _Budget, _search_path, validate_ell_path
+from .paths import EllPath, _Budget, _ordered_search, _search_path, validate_ell_path
 
 
 @dataclass(frozen=True)
@@ -70,37 +70,6 @@ def can_absorb(
     return witness
 
 
-def _enumerate_ordered_paths(
-    H: Hypergraph, ell: int, t: int, pool: Sequence[int], budget: _Budget
-):
-    """Yield every ordered t-vertex ell-path of H inside `pool`."""
-    k = H.k
-    gap = k - ell
-    pool = sorted(pool)
-    order: List[int] = []
-    used: set = set()
-
-    def window_closes_at(p: int) -> bool:
-        return p >= k - 1 and (p - k + 1) % gap == 0
-
-    def place(p: int):
-        if p == t:
-            yield tuple(order)
-            return
-        budget.spend()
-        for v in pool:
-            if v in used:
-                continue
-            order.append(v)
-            used.add(v)
-            if not (window_closes_at(p) and not H.has_edge(order[p - k + 1:p + 1])):
-                yield from place(p + 1)
-            order.pop()
-            used.discard(v)
-
-    yield from place(0)
-
-
 def classify_set(
     H: Hypergraph,
     S: Iterable[int],
@@ -127,7 +96,7 @@ def classify_set(
     pool = [v for v in range(H.n) if v not in s]
     absorb_cache: Dict[Tuple[frozenset, Tuple[int, ...], Tuple[int, ...]], bool] = {}
     count = 0
-    for order in _enumerate_ordered_paths(H, ell, t, pool, counter):
+    for order in _ordered_search(H, ell, t, pool, counter):
         a, b = order[:ell], order[-ell:]
         key = (frozenset(order), a, b)
         hit = absorb_cache.get(key)

@@ -24,12 +24,11 @@ from typing import Dict, List, Optional
 from . import __version__
 from .absorb import AbsorberConfig, classify_set
 from .bounds import expected_random_count
-from .errors import BudgetExceededError, SpancountError
+from .errors import BudgetExceededError, InvalidQueryError, SpancountError
 from .factors import (
     FactorDecomposition,
     FactorSpec,
-    count_f_factors,
-    find_f_factor,
+    factor_census,
     matching_zero_cycle_relation,
     single_edge_spec,
     verify_decomposition,
@@ -109,7 +108,15 @@ def _load_host(path: str) -> Hypergraph:
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise SpancountError(message)
+        raise InvalidQueryError(message)
+
+
+def _fraction(text: str, option: str) -> Fraction:
+    """A rational option value such as 1/2 or 0.97."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidQueryError(f"{option} must be a rational number, got {text!r}") from None
 
 
 # -- generate ------------------------------------------------------------
@@ -120,7 +127,7 @@ def cmd_generate(args) -> Dict:
     if args.family == "complete":
         H = complete(args.n, args.k)
     elif args.family == "binomial":
-        H = gen_random(args.n, args.k, float(Fraction(args.p)), args.seed)
+        H = gen_random(args.n, args.k, float(_fraction(args.p, "--p")), args.seed)
     elif args.family == "planted-cycle":
         _require(args.ell is not None, "planted-cycle needs --ell")
         cycle = EllCycle(tuple(range(args.n)), args.k, args.ell)
@@ -155,7 +162,7 @@ def cmd_partition(args) -> Dict:
     H = _load_host(args.input)
     divisor = args.divisor or (H.k - args.ell if args.ell is not None else 1)
     sv = size_vector(H.n, args.m, divisor, H.k)
-    spec = GoodnessSpec(Fraction(args.delta), Fraction(args.gamma))
+    spec = GoodnessSpec(_fraction(args.delta, "--delta"), _fraction(args.gamma, "--gamma"))
     est = estimate_good_probability(H, sv, spec, args.trials, args.seed)
     return {
         "config": _config(args, "partition"),
@@ -201,9 +208,10 @@ def cmd_stitch(args) -> Dict:
         power_mode or args.ell is not None,
         "stitch needs --ell (ell-cycles) or --t (powers of tight cycles)",
     )
+    _require(args.trials >= 1, "--trials must be >= 1")
     divisor = 1 if power_mode else max(1, H.k - args.ell)
     sv = size_vector(H.n, args.m, divisor, H.k)
-    spec = GoodnessSpec(Fraction(args.delta), Fraction(args.gamma))
+    spec = GoodnessSpec(_fraction(args.delta, "--delta"), _fraction(args.gamma, "--gamma"))
     target = spec.delta + spec.gamma / 2
     param = args.t if power_mode else args.ell
 
@@ -244,10 +252,11 @@ def cmd_stitch(args) -> Dict:
 
 def cmd_count(args) -> Dict:
     H = _load_host(args.input)
+    delta = None if args.delta is None else _fraction(args.delta, "--delta")
     count = enumerate_hamilton_ell_cycles(H, args.ell, mode="count", budget=args.budget)
     results = {"n": H.n, "k": H.k, "ell": args.ell, "count": count}
-    if args.delta is not None:
-        psi = expected_random_count(H.n, H.k, args.ell, Fraction(args.delta), budget=args.budget)
+    if delta is not None:
+        psi = expected_random_count(H.n, H.k, args.ell, delta, budget=args.budget)
         results["expected_random"] = {
             "exact": str(psi.exact_value),
             "float": float(psi.exact_value),
@@ -261,8 +270,7 @@ def cmd_count(args) -> Dict:
 def cmd_factors(args) -> Dict:
     H = _load_host(args.input)
     spec = FactorSpec(_load_host(args.pattern)) if args.pattern else single_edge_spec(H.k)
-    dec = find_f_factor(H, spec, budget=args.budget)
-    count = count_f_factors(H, spec, budget=args.budget)
+    count, dec = factor_census(H, spec, budget=args.budget)
     results = {
         "n": H.n,
         "k": H.k,
@@ -286,7 +294,7 @@ def cmd_factors(args) -> Dict:
 
 def cmd_absorb_classify(args) -> Dict:
     H = _load_host(args.input)
-    cfg = AbsorberConfig(Fraction(args.beta), args.t)
+    cfg = AbsorberConfig(_fraction(args.beta, "--beta"), args.t)
     size = H.k - args.ell
     sets = list(itertools.combinations(range(H.n), size))
     if args.limit:
@@ -315,16 +323,25 @@ def cmd_verify(args) -> Dict:
     H = _load_host(args.input)
     with open(args.structure) as fh:
         data = json.load(fh)
+    _require(isinstance(data, dict), "structure JSON must be an object")
     kind = data.get("type") or data.get("kind")
+
+    def field(*names):
+        """The value of the first of `names` that the structure has."""
+        for name in names:
+            if name in data:
+                return data[name]
+        raise InvalidQueryError(f"{kind} structure needs {' or '.join(names)}")
+
     if kind == "ell-path":
-        valid = validate_ell_path(H, EllPath(tuple(data["order"]), H.k, data["ell"]))
+        valid = validate_ell_path(H, EllPath(tuple(field("order")), H.k, field("ell")))
     elif kind == "ell-cycle":
-        cycle = EllCycle(tuple(data["order"]), H.k, data.get("ell", data.get("param")))
+        cycle = EllCycle(tuple(field("order")), H.k, field("ell", "param"))
         valid = validate_ell_cycle(H, cycle)
         if valid and "blocks" in data:
             valid = is_respecting(cycle, Partition(tuple(tuple(b) for b in data["blocks"])))
     elif kind == "power-cycle":
-        cycle = PowerCycle(tuple(data["order"]), data.get("t", data.get("param")), H.k)
+        cycle = PowerCycle(tuple(field("order")), field("t", "param"), H.k)
         valid = validate_power_cycle(H, cycle)
         if valid and "blocks" in data:
             valid = is_respecting(cycle, Partition(tuple(tuple(b) for b in data["blocks"])))
@@ -334,11 +351,11 @@ def cmd_verify(args) -> Dict:
         else:
             spec = single_edge_spec(H.k)
         valid = verify_decomposition(
-            H, spec, FactorDecomposition(tuple(tuple(c) for c in data["copies"]))
+            H, spec, FactorDecomposition(tuple(tuple(c) for c in field("copies")))
         )
     elif kind == "partition":
-        part = Partition(tuple(tuple(b) for b in data["blocks"]))
-        valid = check_good(H, part, Fraction(str(data["delta"]))).good
+        part = Partition(tuple(tuple(b) for b in field("blocks")))
+        valid = check_good(H, part, _fraction(str(field("delta")), "delta")).good
     else:
         raise SpancountError(f"unknown structure type {kind!r}")
     return {"config": _config(args, "verify"), "results": {"type": kind, "valid": bool(valid)}}

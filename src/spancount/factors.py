@@ -111,51 +111,63 @@ def _factor_search(
     spec: FactorSpec,
     budget: Optional[int],
     count_all: bool,
-):
-    """Shared backtracking core: first decomposition, or the exact count."""
+) -> Tuple[int, Optional[FactorDecomposition]]:
+    """Shared backtracking core: the number of F-factors reached and the
+    first one, verified; stops at the first unless `count_all`."""
     if H.n % spec.t != 0:
         raise DivisibilityError(f"|F| = {spec.t} must divide |H| = {H.n}")
     if spec.F.k != H.k:
         raise InvalidQueryError(f"pattern uniformity {spec.F.k} != host uniformity {H.k}")
     counter = _Budget(budget)
     total = 0
+    first: Optional[Tuple[Tuple[int, ...], ...]] = None
     chosen: List[Tuple[int, ...]] = []
 
-    def descend(uncovered: frozenset):
-        nonlocal total
+    def descend(uncovered: frozenset) -> bool:
+        """Search below `chosen`; True once the search should stop."""
+        nonlocal total, first
         if not uncovered:
             total += 1
-            return tuple(chosen) if not count_all else None
+            if first is None:
+                first = tuple(chosen)
+            return not count_all
         counter.spend()
         anchor = min(uncovered)
         for injection, _image in _canonical_copies(H, spec, sorted(uncovered), anchor):
             chosen.append(injection)
-            result = descend(uncovered - frozenset(injection))
+            stop = descend(uncovered - frozenset(injection))
             chosen.pop()
-            if result is not None:
-                return result
-        return None
+            if stop:
+                return True
+        return False
 
-    result = descend(frozenset(range(H.n)))
-    return total if count_all else result
+    descend(frozenset(range(H.n)))
+    if first is None:
+        return total, None
+    dec = FactorDecomposition(first)
+    if not verify_decomposition(H, spec, dec):
+        raise AssertionError("factor search returned an invalid decomposition")
+    return total, dec
 
 
 def find_f_factor(
     H: Hypergraph, spec: FactorSpec, budget: Optional[int] = None
 ) -> Optional[FactorDecomposition]:
     """An F-factor of H found by exact backtracking, or None."""
-    result = _factor_search(H, spec, budget, count_all=False)
-    if result is None:
-        return None
-    dec = FactorDecomposition(result)
-    if not verify_decomposition(H, spec, dec):
-        raise AssertionError("factor search returned an invalid decomposition")
-    return dec
+    return _factor_search(H, spec, budget, count_all=False)[1]
+
+
+def factor_census(
+    H: Hypergraph, spec: FactorSpec, budget: Optional[int] = None
+) -> Tuple[int, Optional[FactorDecomposition]]:
+    """The exact number of distinct F-factors of H and the first one the
+    search reaches (the one find_f_factor returns), from one search."""
+    return _factor_search(H, spec, budget, count_all=True)
 
 
 def count_f_factors(H: Hypergraph, spec: FactorSpec, budget: Optional[int] = None) -> int:
     """Exact number of distinct F-factors of H."""
-    return _factor_search(H, spec, budget, count_all=True)
+    return factor_census(H, spec, budget)[0]
 
 
 def perfect_matching(H: Hypergraph, budget: Optional[int] = None) -> Optional[FactorDecomposition]:

@@ -176,8 +176,11 @@ class Hypergraph:
         head = lines[0].split()
         if len(head) != 2:
             raise InvalidQueryError(f"header must be 'n k', got {lines[0]!r}")
-        n, k = int(head[0]), int(head[1])
-        edges = [tuple(int(v) for v in ln.split()) for ln in lines[1:]]
+        try:
+            n, k = int(head[0]), int(head[1])
+            edges = [tuple(int(v) for v in ln.split()) for ln in lines[1:]]
+        except ValueError as exc:
+            raise InvalidQueryError(f"edge list entries must be integers: {exc}") from None
         return cls(n, k, edges)
 
     def to_json(self) -> str:

@@ -211,37 +211,6 @@ def threshold_clamps(spec: GoodnessSpec, m: int, exponent_den: int) -> bool:
     return lhs ** exponent_den <= 2 ** exponent_den * m ** (exponent_den - 1)
 
 
-def event_threshold(delta, gamma, m_ij: int):
-    """The -1/4 event threshold (delta + gamma - 2*m^(-1/4)) * m, clamped at 0.
-
-    Returned as a Fraction; the fourth root is exact for perfect fourth
-    powers and otherwise approximated to ~30 significant digits.  This
-    is a reporting value; exact event decisions go through
-    degree_meets_threshold.
-    """
-    if m_ij < 1:
-        raise InvalidQueryError(f"block size m={m_ij} must be >= 1")
-    d, g = Fraction(delta), Fraction(gamma)
-    root = _fourth_root_fraction(m_ij)  # m^{1/4}, so m^{3/4} = m / root
-    value = (d + g) * m_ij - 2 * (Fraction(m_ij) / root)
-    return max(Fraction(0), value)
-
-
-def _fourth_root_fraction(m: int) -> Fraction:
-    r = round(m ** 0.25)
-    if r ** 4 == m:
-        return Fraction(r)
-    from decimal import Decimal, getcontext
-
-    ctx_prec = getcontext().prec
-    getcontext().prec = 30
-    try:
-        root = Decimal(m).sqrt().sqrt()
-    finally:
-        getcontext().prec = ctx_prec
-    return Fraction(root)
-
-
 # -- random bisection ----------------------------------------------------
 
 

@@ -3,7 +3,7 @@
 An ell-path on vertices v_1..v_t has edges given by the consecutive
 k-windows at stride k-ell, so consecutive edges share exactly ell
 vertices; an ell-cycle wraps the windows cyclically.  The solvers here
-are exhaustive backtracking searches with explicit node budgets: a
+all run one ordered-window search with explicit node budgets: a
 partial result never masquerades as an exact one.
 
 Hamilton ell-cycles are counted as sub-hypergraphs (distinct edge
@@ -13,9 +13,10 @@ are deduplicated by canonicalizing each found cycle's edge set.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, DivisibilityError, InvalidQueryError, InvalidStructureError
 from .hypergraphs import Hypergraph
@@ -168,7 +169,7 @@ def validate_power_cycle(H: Hypergraph, C: PowerCycle) -> bool:
     return True
 
 
-# -- backtracking search core --------------------------------------------
+# -- the ordered-window search -------------------------------------------
 
 
 class _Budget:
@@ -186,6 +187,78 @@ class _Budget:
                 raise BudgetExceededError("search budget exhausted; result invalid")
 
 
+@functools.lru_cache(maxsize=256)
+def _window_layout(k: int, gap: int, length: int, cyclic: bool):
+    """The k-windows at stride `gap` over `length` positions, as position
+    tuples, and for each position the other positions of every window
+    that it is the last to fill."""
+    starts = range(0, length, gap) if cyclic else range(0, length - k + 1, gap)
+    windows = tuple(tuple((s + i) % length for i in range(k)) for s in starts)
+    closing: List[list] = [[] for _ in range(length)]
+    for w in windows:
+        last = max(w)
+        closing[last].append(tuple(q for q in w if q != last))
+    return windows, tuple(tuple(c) for c in closing)
+
+
+def _ordered_search(
+    H: Hypergraph,
+    ell: int,
+    length: int,
+    pool: Iterable[int],
+    budget: _Budget,
+    prefix: Sequence[int] = (),
+    pinned: Optional[Dict[int, int]] = None,
+    cyclic: bool = False,
+) -> Iterator[Tuple[int, ...]]:
+    """Yield every ordering of `length` vertices whose k-windows at stride
+    k-ell (wrapping around if `cyclic`) are all edges of H.
+
+    Positions after `prefix` are filled in order.  A position in `pinned`
+    takes its given vertex; any other takes the free vertices of `pool`
+    in ascending order.  Either way the vertex must complete each window
+    that closes there, so candidates are cut down to those windows'
+    codegree sets.  Entering a position spends one budget node.
+    """
+    _, closing = _window_layout(H.k, H.k - ell, length, cyclic)
+    pinned = pinned or {}
+    order = list(prefix) + [-1] * (length - len(prefix))
+    free = set(pool).difference(prefix, pinned.values())
+    codegree = H.codegree_set
+
+    def place(p: int) -> Iterator[Tuple[int, ...]]:
+        if p == length:
+            yield tuple(order)
+            return
+        budget.spend()
+        forced = pinned.get(p)
+        candidates = free if forced is None else {forced}
+        for others in closing[p]:
+            candidates = candidates & codegree([order[q] for q in others])
+        for v in sorted(candidates):
+            order[p] = v
+            free.discard(v)
+            yield from place(p + 1)
+            if forced is None:
+                free.add(v)
+
+    return place(len(prefix))
+
+
+def _cycle_orders(
+    H: Hypergraph, ell: int, pool: Sequence[int], budget: _Budget
+) -> Iterator[Tuple[int, ...]]:
+    """Hamilton ell-cycle orderings of `pool` with its least vertex at a
+    position r0 in [0, k-ell), r0 = 0 first.  Rotating by a multiple of
+    k-ell puts any cycle ordering in this form, so the roots are
+    exhaustive."""
+    pool = sorted(pool)
+    for r0 in range(H.k - ell):
+        yield from _ordered_search(
+            H, ell, len(pool), pool, budget, pinned={r0: pool[0]}, cyclic=True
+        )
+
+
 def _search_path(
     H: Hypergraph,
     ell: int,
@@ -195,52 +268,13 @@ def _search_path(
     pool: Sequence[int],
     budget: _Budget,
 ) -> Optional[Tuple[int, ...]]:
-    """Find an ell-path ordering of `total` vertices from a to b.
+    """First ell-path ordering of `total` vertices from a to b, or None.
 
-    Interior vertices are drawn from `pool` (which excludes the ends).
-    Positions total-ell .. total-1 are forced to equal b in order; a
-    window is checked as soon as its last position is filled, and the
-    closing vertex of each window is codegree-pruned.
+    Interior vertices are drawn from `pool`; the last ell positions are
+    pinned to spell out b in order.
     """
-    k = H.k
-    gap = k - ell
-    order = list(a) + [-1] * (total - ell)
-    used = set(a)
-    free_set = {v for v in pool if v not in used and v not in set(b)}
-
-    def window_closes_at(p: int) -> bool:
-        return p >= k - 1 and (p - k + 1) % gap == 0
-
-    def place(p: int) -> Optional[List[int]]:
-        if p == total:
-            return order
-        budget.spend()
-        if p >= total - ell:
-            # tail positions are forced to spell out b in order
-            v = b[p - (total - ell)]
-            if window_closes_at(p) and v not in H.codegree_set(order[p - k + 1:p]):
-                return None
-            order[p] = v
-            result = place(p + 1)
-            if result is None:
-                order[p] = -1
-            return result
-        if window_closes_at(p):
-            candidates = sorted(H.codegree_set(order[p - k + 1:p]) & free_set - used)
-        else:
-            candidates = sorted(free_set - used)
-        for v in candidates:
-            order[p] = v
-            used.add(v)
-            result = place(p + 1)
-            if result is not None:
-                return result
-            used.discard(v)
-            order[p] = -1
-        return None
-
-    result = place(ell)
-    return tuple(result) if result is not None else None
+    pinned = {total - ell + i: v for i, v in enumerate(b)}
+    return next(_ordered_search(H, ell, total, pool, budget, prefix=a, pinned=pinned), None)
 
 
 def _search_cycle(
@@ -249,46 +283,11 @@ def _search_cycle(
     pool: Sequence[int],
     budget: _Budget,
 ) -> Optional[Tuple[int, ...]]:
-    """First Hamilton ell-cycle ordering of `pool`, or None.
-
-    Each cyclic k-window at stride k-ell is checked as soon as its last
-    position fills; the first pool vertex is pinned to position 0.
-    """
-    pool = sorted(pool)
-    n = len(pool)
-    k = H.k
-    gap = k - ell
-    if n % gap != 0 or n < k:
+    """First Hamilton ell-cycle ordering of `pool`, or None."""
+    n, gap = len(pool), H.k - ell
+    if n % gap != 0 or n < H.k:
         raise DivisibilityError(f"(k-ell)={gap} must divide the cycle length {n}")
-    windows = [
-        tuple((start + i) % n for i in range(k)) for start in range(0, n, gap)
-    ]
-    close_map: dict = {}
-    for w in windows:
-        close_map.setdefault(max(w), []).append(w)
-    order = [-1] * n
-    order[0] = pool[0]
-    free = set(pool[1:])
-
-    def place(p: int) -> Optional[List[int]]:
-        if p == n:
-            return order
-        budget.spend()
-        for v in sorted(free):
-            order[p] = v
-            free.discard(v)
-            if all(
-                H.has_edge(order[q] for q in w) for w in close_map.get(p, ())
-            ):
-                result = place(p + 1)
-                if result is not None:
-                    return result
-            free.add(v)
-            order[p] = -1
-        return None
-
-    result = place(1)
-    return tuple(result) if result is not None else None
+    return next(_cycle_orders(H, ell, pool, budget), None)
 
 
 # -- Hamilton path / cycle solvers ---------------------------------------
@@ -322,25 +321,6 @@ def find_hamilton_ell_path(
     return EllPath(order, k, ell) if order is not None else None
 
 
-def is_hamilton_path_connected(H: Hypergraph, ell: int, budget: Optional[int] = None) -> bool:
-    """True iff every disjoint ordered pair of ell-tuples is joined by a
-    spanning ell-path."""
-    if not 1 <= ell < H.k:
-        raise InvalidQueryError(f"need 1 <= ell < k, got ell={ell}, k={H.k}")
-    if H.n < 2 * ell:
-        raise InvalidQueryError(f"host has {H.n} < 2*ell vertices")
-    if (H.n - ell) % (H.k - ell) != 0:
-        raise DivisibilityError(
-            f"(k-ell)={H.k - ell} must divide n-ell={H.n - ell}"
-        )
-    for a in itertools.permutations(range(H.n), ell):
-        rest = [v for v in range(H.n) if v not in a]
-        for b in itertools.permutations(rest, ell):
-            if find_hamilton_ell_path(H, ell, EndPair(a, b), budget=budget) is None:
-                return False
-    return True
-
-
 def enumerate_hamilton_ell_cycles(
     H: Hypergraph,
     ell: int,
@@ -364,128 +344,67 @@ def enumerate_hamilton_ell_cycles(
     if n < k or not H.edges:
         return 0 if mode == "count" else []
 
-    windows = [
-        tuple((j * gap + i) % n for i in range(k)) for j in range(n // gap)
-    ]
-    close_map: dict = {}
-    for w in windows:
-        close_map.setdefault(max(w), []).append(w)
-
-    counter = _Budget(budget)
+    windows, _ = _window_layout(k, gap, n, True)
     found: dict = {}
-    order = [-1] * n
-    free = set(range(1, n))
-
-    def place(p: int, r0: int) -> None:
-        if p == n:
-            edge_set = frozenset(
-                tuple(sorted(order[q] for q in w)) for w in windows
-            )
-            found.setdefault(edge_set, tuple(order))
-            return
-        counter.spend()
-        candidates = [0] if p == r0 else sorted(free)
-        for v in candidates:
-            order[p] = v
-            if v != 0:
-                free.discard(v)
-            if all(
-                H.has_edge(order[q] for q in w)
-                for w in close_map.get(p, ())
-                if all(order[q] >= 0 for q in w)
-            ):
-                place(p + 1, r0)
-            if v != 0:
-                free.add(v)
-            order[p] = -1
-
-    # any cycle ordering can be rotated by a multiple of (k-ell) to put
-    # vertex 0 at a position in [0, k-ell), so these roots are exhaustive
-    for r0 in range(gap):
-        place(0, r0)
+    for order in _cycle_orders(H, ell, range(n), _Budget(budget)):
+        edge_set = frozenset(tuple(sorted(order[q] for q in w)) for w in windows)
+        found.setdefault(edge_set, order)
     if mode == "count":
         return len(found)
     return [EllCycle(o, k, ell) for o in found.values()]
 
 
-# -- cliques and powers of tight cycles ----------------------------------
+# -- cliques ---------------------------------------------------------------
 
 
-def clique_graph(H: Hypergraph, t: int) -> Hypergraph:
-    """K_t(H): the t-graph whose edges are t-sets spanning k-cliques of H."""
+def _cliques(
+    H: Hypergraph,
+    size: int,
+    within: Optional[Iterable[int]] = None,
+    budget: Optional[_Budget] = None,
+) -> Iterator[Tuple[int, ...]]:
+    """Yield every `size`-set of vertices of `within` (default: all of H)
+    that spans a k-uniform clique of H, in lexicographic order.
+
+    Choosing a vertex cuts the later candidates down to the codegree sets
+    of the (k-1)-sets it completes.  With a budget, entering a partial
+    clique spends one node.
+    """
+    k = H.k
+    pool = sorted(range(H.n) if within is None else within)
+    if k == 1:  # every vertex of a 1-uniform clique is itself an edge
+        pool = [v for v in pool if H.has_edge((v,))]
+    chosen: List[int] = []
+
+    def extend(candidates: List[int]) -> Iterator[Tuple[int, ...]]:
+        if len(chosen) == size:
+            yield tuple(chosen)
+            return
+        if budget is not None:
+            budget.spend()
+        for i, v in enumerate(candidates):
+            rest = candidates[i + 1:]
+            # v completes the (k-1)-sets sub + v, sub a (k-2)-subset of chosen
+            for sub in itertools.combinations(chosen, k - 2) if k > 1 else ():
+                common = H.codegree_set(sub + (v,))
+                rest = [u for u in rest if u in common]
+            chosen.append(v)
+            yield from extend(rest)
+            chosen.pop()
+
+    return extend(pool)
+
+
+def clique_graph(H: Hypergraph, t: int, within: Optional[Iterable[int]] = None) -> Hypergraph:
+    """K_t(H): the t-graph on H's vertices whose edges are the t-sets
+    spanning k-cliques of H; only those inside `within` if it is given."""
     if t < H.k:
         raise InvalidQueryError(f"clique size t={t} must be >= k={H.k}")
-    edges = [
-        s
-        for s in itertools.combinations(range(H.n), t)
-        if all(H.has_edge(sub) for sub in itertools.combinations(s, H.k))
-    ]
-    return Hypergraph(H.n, t, edges)
+    return Hypergraph(H.n, t, _cliques(H, t, within))
 
 
 def find_clique(H: Hypergraph, t: int, budget: Optional[int] = None) -> Optional[Tuple[int, ...]]:
-    """A t-set spanning a k-uniform clique of H, or None."""
+    """The lexicographically first t-set spanning a k-uniform clique of H, or None."""
     if t < H.k:
         raise InvalidQueryError(f"clique size t={t} must be >= k={H.k}")
-    counter = _Budget(budget)
-    chosen: List[int] = []
-
-    def extend(start: int) -> Optional[Tuple[int, ...]]:
-        if len(chosen) == t:
-            return tuple(chosen)
-        counter.spend()
-        for v in range(start, H.n):
-            if len(chosen) >= H.k - 1:
-                ok = all(
-                    v in H.codegree_set(sub)
-                    for sub in itertools.combinations(chosen, H.k - 1)
-                )
-                if not ok:
-                    continue
-            chosen.append(v)
-            result = extend(v + 1)
-            if result is not None:
-                return result
-            chosen.pop()
-        return None
-
-    return extend(0)
-
-
-def default_connector_max_vertices(k: int) -> int:
-    """Vertex budget 8*k^5 for short connectors between end tuples."""
-    return 8 * k ** 5
-
-
-def find_short_connector(
-    H: Hypergraph,
-    ell: int,
-    ends: EndPair,
-    max_vertices: Optional[int] = None,
-    budget: Optional[int] = None,
-) -> Optional[EllPath]:
-    """A minimum-length ell-path joining ends.a to ends.b, or None.
-
-    Searches in increasing vertex-count order, so a returned connector
-    has the fewest vertices of any connector within the budget.
-    """
-    k = H.k
-    if not 1 <= ell < k:
-        raise InvalidQueryError(f"need 1 <= ell < k, got ell={ell}, k={k}")
-    if len(ends.a) != ell:
-        raise InvalidQueryError(f"end tuples must have length ell={ell}")
-    if max_vertices is None:
-        max_vertices = default_connector_max_vertices(k)
-    if max_vertices < 2 * ell:
-        raise InvalidQueryError(f"max_vertices={max_vertices} below 2*ell={2 * ell}")
-    counter = _Budget(budget)
-    gap = k - ell
-    t = k
-    while (t - ell) % gap != 0 or t < 2 * ell:
-        t += 1
-    while t <= min(max_vertices, H.n):
-        order = _search_path(H, ell, ends.a, ends.b, t, range(H.n), counter)
-        if order is not None:
-            return EllPath(order, k, ell)
-        t += gap
-    return None
+    return next(_cliques(H, t, budget=_Budget(budget)), None)

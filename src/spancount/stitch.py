@@ -4,9 +4,11 @@ Given a good partition (V_1, ..., V_r), pick a junction tuple v_i in
 each block, solve each H[V_i + previous junction] for a Hamilton
 ell-path between consecutive junctions, and concatenate
 L_1 v_1 L_2 v_2 ... L_r v_r into a Hamilton ell-cycle whose blocks
-occupy consecutive arcs.  Junction tuples are retried under a budget:
-the asymptotic guarantees that make arbitrary junctions work do not
-hold at desk scale, so failed per-block solves trigger reselection.
+occupy consecutive arcs.  A power of a tight cycle is the same
+construction with ell = t-1 in the t-clique graph.  Junction tuples
+are retried under a budget: the asymptotic guarantees that make
+arbitrary junctions work do not hold at desk scale, so failed
+per-block solves trigger reselection.
 
 Every returned certificate is validated before it leaves this module.
 """
@@ -17,7 +19,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .bounds import RationalBracket, exp_neg_bracket, multinomial
 from .errors import DivisibilityError, InvalidQueryError
@@ -27,6 +29,7 @@ from .paths import (
     EllCycle,
     PowerCycle,
     _Budget,
+    _cliques,
     _search_cycle,
     _search_path,
     clique_graph,
@@ -126,7 +129,7 @@ def respecting_multiplicity(C: EllCycle, sv) -> int:
     return len(seen)
 
 
-# -- ell-cycle stitching -------------------------------------------------
+# -- the stitch loop ------------------------------------------------------
 
 
 def stitch_cycle(
@@ -156,77 +159,13 @@ def stitch_cycle(
             raise InvalidQueryError(
                 f"block of size {len(block)} too small for junctions (need >= {2 * ell + gap})"
             )
-    rng = random.Random(seed)
-    r = P.r
-    if r == 1:
-        # single block: no junctions to stitch, solve the cycle directly
-        order = _search_cycle(H, ell, P.blocks[0], _Budget(node_budget))
-        if order is None:
-            return None
-        cert = RespectingCertificate(
-            order=order,
-            partition=P,
-            junctions=(order[-ell:],),
-            segments=(order[:-ell],),
-            kind="ell-cycle",
-            k=k,
-            param=ell,
-        )
-        if not validate_ell_cycle(H, cert.cycle()) or not is_respecting(cert.cycle(), P):
-            raise AssertionError("stitched cycle failed validation; construction bug")
-        return cert
-    for _ in range(junction_budget):
-        junctions = [tuple(rng.sample(block, ell)) for block in P.blocks]
-        segments = _solve_blocks(H, P, junctions, ell, node_budget)
-        if segments is None:
-            continue
-        order: List[int] = []
-        for i in range(r):
-            order.extend(segments[i])
-            order.extend(junctions[i])
-        cert = RespectingCertificate(
-            order=tuple(order),
-            partition=P,
-            junctions=tuple(junctions),
-            segments=tuple(tuple(s) for s in segments),
-            kind="ell-cycle",
-            k=k,
-            param=ell,
-        )
-        cycle = cert.cycle()
-        if not validate_ell_cycle(H, cycle) or not is_respecting(cycle, P):
-            raise AssertionError("stitched cycle failed validation; construction bug")
-        return cert
-    return None
 
+    def sample_junctions(rng: random.Random) -> List[Tuple[int, ...]]:
+        return [tuple(rng.sample(block, ell)) for block in P.blocks]
 
-def _solve_blocks(
-    H: Hypergraph,
-    P: Partition,
-    junctions: Sequence[Tuple[int, ...]],
-    ell: int,
-    node_budget: Optional[int],
-) -> Optional[List[Tuple[int, ...]]]:
-    """Per-block Hamilton ell-paths from the previous junction to this
-    block's junction; returns the interior segments L_i, or None."""
-    r = P.r
-    segments = []
-    for i in range(r):
-        prev = junctions[(i - 1) % r]
-        block = P.blocks[i]
-        pool = set(block) | set(prev)
-        total = len(pool)
-        order = _search_path(
-            H, ell, prev, junctions[i], total, sorted(pool), _Budget(node_budget)
-        )
-        if order is None:
-            return None
-        # strip the shared end tuples: the cycle gets L_i + v_i per block
-        segments.append(order[ell:total - ell])
-    return segments
-
-
-# -- power-of-tight-cycle stitching --------------------------------------
+    found = _stitch(P, ell, gap, lambda pool: H, sample_junctions,
+                    junction_budget, node_budget, seed)
+    return _certified(H, P, "ell-cycle", ell, found)
 
 
 def stitch_power_cycle(
@@ -239,95 +178,113 @@ def stitch_power_cycle(
 ) -> Optional[RespectingCertificate]:
     """Build a P-respecting (t-k+1)th power of a Hamilton tight cycle.
 
-    Junctions are (t-1)-cliques found inside each block; per-block
-    solves are Hamilton tight paths in the t-clique graph of
-    H[V_i + previous junction].
+    This is a Hamilton (t-1)-cycle of the t-clique graph, stitched like
+    an ell-cycle: junctions are (t-1)-cliques found inside each block,
+    and per-block solves are Hamilton tight paths in the t-clique graph
+    of V_i + previous junction.
     """
     if t < H.k:
         raise InvalidQueryError(f"window width t={t} must be >= k={H.k}")
-    rng = random.Random(seed)
-    r = P.r
     for block in P.blocks:
         if len(block) < 2 * (t - 1) + 1:
             raise InvalidQueryError(
                 f"block of size {len(block)} too small to host (t-1)-clique junctions"
             )
-    if r == 1:
-        block = P.blocks[0]
-        sub = H.induced(block)
-        Kt = clique_graph(sub.graph, t)
-        local = _search_cycle(Kt, t - 1, range(len(block)), _Budget(node_budget))
-        if local is None:
-            return None
-        order = sub.globalize(local)
-        cert = RespectingCertificate(
-            order=order,
-            partition=P,
-            junctions=(order[-(t - 1):],),
-            segments=(order[:-(t - 1)],),
-            kind="power-cycle",
-            k=H.k,
-            param=t,
-        )
-        if not validate_power_cycle(H, cert.power_cycle()):
-            raise AssertionError("stitched power cycle failed validation; construction bug")
-        return cert
-    for _ in range(junction_budget):
+
+    def sample_junctions(rng: random.Random) -> Optional[List[Tuple[int, ...]]]:
         junctions = []
         for block in P.blocks:
-            sub = H.induced(block)
-            cliques = _all_cliques(sub.graph, t - 1)
+            cliques = _all_cliques(H, t - 1, block)
             if not cliques:
                 return None
-            junctions.append(sub.globalize(rng.choice(cliques)))
-        segments = []
-        ok = True
-        for i in range(r):
-            prev = junctions[(i - 1) % r]
-            pool = set(P.blocks[i]) | set(prev)
-            sub = H.induced(pool)
-            Kt = clique_graph(sub.graph, t)
-            a = tuple(sub.to_local[v] for v in prev)
-            b = tuple(sub.to_local[v] for v in junctions[i])
-            order = _search_path(
-                Kt, t - 1, a, b, len(pool), range(len(pool)), _Budget(node_budget)
-            )
-            if order is None:
-                ok = False
-                break
-            segments.append(sub.globalize(order)[t - 1:len(pool) - (t - 1)])
-        if not ok:
+            junctions.append(rng.choice(cliques))
+        return junctions
+
+    found = _stitch(P, t - 1, 1, lambda pool: clique_graph(H, t, pool), sample_junctions,
+                    junction_budget, node_budget, seed)
+    return _certified(H, P, "power-cycle", t, found)
+
+
+def _stitch(
+    P: Partition,
+    ell: int,
+    gap: int,
+    host_for: Callable[[Sequence[int]], Hypergraph],
+    sample_junctions: Callable[[random.Random], Optional[List[Tuple[int, ...]]]],
+    junction_budget: int,
+    node_budget: Optional[int],
+    seed: int,
+) -> Optional[Tuple[Tuple[int, ...], tuple, tuple]]:
+    """(cycle order, junctions, segments) of an ell-cycle that respects P
+    in the hosts `host_for(pool)`, whose edges have ell + gap vertices;
+    None if every attempt fails or a block has no junction."""
+    rng = random.Random(seed)
+    if P.r == 1:
+        # single block: no junctions to stitch, solve the cycle directly
+        block = P.blocks[0]
+        order = _search_cycle(host_for(block), ell, block, _Budget(node_budget))
+        if order is None:
+            return None
+        return order, (order[-ell:],), (order[:-ell],)
+    for _ in range(junction_budget):
+        junctions = sample_junctions(rng)
+        if junctions is None:
+            return None
+        segments = _solve_blocks(host_for, P, junctions, ell, node_budget)
+        if segments is None:
             continue
-        order_all: List[int] = []
-        for i in range(r):
-            order_all.extend(segments[i])
-            order_all.extend(junctions[i])
-        cert = RespectingCertificate(
-            order=tuple(order_all),
-            partition=P,
-            junctions=tuple(junctions),
-            segments=tuple(tuple(s) for s in segments),
-            kind="power-cycle",
-            k=H.k,
-            param=t,
-        )
-        if not validate_power_cycle(H, cert.power_cycle()):
-            raise AssertionError("stitched power cycle failed validation; construction bug")
-        if not is_respecting(cert.power_cycle(), P):
-            raise AssertionError("stitched power cycle is not partition-respecting")
-        return cert
+        order = tuple(v for seg, j in zip(segments, junctions) for v in seg + j)
+        # block path i's windows start at junction i-1, so the cycle's windows
+        # start ell places before L_1; rotate that phase to position 0
+        shift = (-ell) % gap
+        return order[shift:] + order[:shift], tuple(junctions), tuple(segments)
     return None
 
 
-def _all_cliques(H: Hypergraph, size: int) -> List[Tuple[int, ...]]:
-    """All `size`-sets spanning k-uniform cliques of H, lexicographic."""
-    import itertools
+def _solve_blocks(
+    host_for: Callable[[Sequence[int]], Hypergraph],
+    P: Partition,
+    junctions: Sequence[Tuple[int, ...]],
+    ell: int,
+    node_budget: Optional[int],
+) -> Optional[List[Tuple[int, ...]]]:
+    """Per-block Hamilton ell-paths from the previous junction to this
+    block's junction; returns the interior segments L_i, or None."""
+    segments = []
+    for i, block in enumerate(P.blocks):
+        prev = junctions[i - 1]
+        pool = sorted(set(block) | set(prev))
+        total = len(pool)
+        order = _search_path(
+            host_for(pool), ell, prev, junctions[i], total, pool, _Budget(node_budget)
+        )
+        if order is None:
+            return None
+        # strip the shared end tuples: the cycle gets L_i + v_i per block
+        segments.append(order[ell:total - ell])
+    return segments
 
-    out = []
-    for s in itertools.combinations(range(H.n), size):
-        if all(H.has_edge(sub) for sub in itertools.combinations(s, H.k)):
-            out.append(s)
-    return out
+
+def _certified(
+    H: Hypergraph, P: Partition, kind: str, param: int, found
+) -> Optional[RespectingCertificate]:
+    """The certificate of a stitched order, validated against H and P."""
+    if found is None:
+        return None
+    order, junctions, segments = found
+    cert = RespectingCertificate(order, P, junctions, segments, kind, H.k, param)
+    if kind == "ell-cycle":
+        structure, valid = cert.cycle(), validate_ell_cycle
+    else:
+        structure, valid = cert.power_cycle(), validate_power_cycle
+    if not valid(H, structure) or not is_respecting(structure, P):
+        raise AssertionError(f"stitched {kind} failed validation; construction bug")
+    return cert
+
+
+def _all_cliques(H: Hypergraph, size: int, within: Sequence[int]) -> List[Tuple[int, ...]]:
+    """All `size`-sets of `within` spanning k-uniform cliques of H, lexicographic."""
+    return list(_cliques(H, size, within))
 
 
 # -- counting lower bound ------------------------------------------------

@@ -121,6 +121,32 @@ class TestExitCodes:
         struct.write_text(json.dumps({"type": "mystery"}))
         assert main(["verify", "--input", host, "--structure", str(struct)]) == 2
 
+    def test_non_integer_vertex_is_2(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("4 3\n0 1 x\n")
+        assert main(["count", "--input", str(bad), "--ell", "2"]) == 2
+
+    def test_non_numeric_delta_is_2(self, tmp_path):
+        k6 = tmp_path / "k6.txt"
+        assert main(["generate", "--family", "complete", "--n", "6", "--k", "3",
+                     "--out", str(k6)]) == 0
+        assert main(["count", "--input", str(k6), "--ell", "2", "--delta", "abc"]) == 2
+
+    def test_structure_without_order_is_2(self, host, tmp_path):
+        struct = tmp_path / "s.json"
+        struct.write_text(json.dumps({"type": "ell-cycle", "ell": 1}))
+        assert main(["verify", "--input", host, "--structure", str(struct)]) == 2
+
+    def test_partition_without_delta_is_2(self, host, tmp_path):
+        struct = tmp_path / "s.json"
+        blocks = [list(range(8)), list(range(8, 16))]
+        struct.write_text(json.dumps({"type": "partition", "blocks": blocks}))
+        assert main(["verify", "--input", host, "--structure", str(struct)]) == 2
+
+    def test_zero_trials_is_2(self, host):
+        assert main(["stitch", "--input", host, "--ell", "2", "--m", "2", "--delta", "1/2",
+                     "--gamma", "1/10", "--trials", "0"]) == 2
+
 
 class TestFactorsCommand:
     def test_planted_factor_recovered(self, tmp_path):

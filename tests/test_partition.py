@@ -22,7 +22,6 @@ from spancount import (
     derive_seed,
     empty,
     estimate_good_probability,
-    event_threshold,
     gen_random,
     hypergeometric_tail_bound,
     random_bisection,
@@ -121,13 +120,6 @@ class TestThresholds:
         if got != ref:
             assert self.brute_meets(d + 1, spec.delta, spec.gamma, m, e) or \
                 not self.brute_meets(d - 1, spec.delta, spec.gamma, m, e)
-
-    def test_event_threshold_value(self):
-        # delta+gamma = 1/2, m = 10000 = 10^4: threshold (0.5 - 2/10) * 10000
-        assert event_threshold(Fraction(2, 5), Fraction(1, 10), 10000) == 3000
-
-    def test_event_threshold_clamps(self):
-        assert event_threshold(Fraction(1, 10), Fraction(1, 10), 16) == 0
 
 
 def _implication_holds(trace):

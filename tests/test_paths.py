@@ -12,19 +12,15 @@ from spancount import (
     EllCycle,
     EllPath,
     EndPair,
-    InvalidQueryError,
     InvalidStructureError,
     PowerCycle,
     clique_graph,
     complete,
-    default_connector_max_vertices,
     empty,
     enumerate_hamilton_ell_cycles,
     find_clique,
     find_hamilton_ell_path,
-    find_short_connector,
     gen_random,
-    is_hamilton_path_connected,
     validate_ell_cycle,
     validate_ell_path,
     validate_power_cycle,
@@ -129,13 +125,6 @@ class TestHamiltonPath:
         with pytest.raises(BudgetExceededError):
             find_hamilton_ell_path(complete(11, 3), 1, EndPair((0,), (10,)), budget=2)
 
-    def test_complete_graph_path_connected(self):
-        assert is_hamilton_path_connected(complete(6, 2), 1)
-
-    def test_sparse_not_path_connected(self):
-        C6 = Hypergraph(6, 2, EllCycle(tuple(range(6)), 2, 1).edge_set())
-        assert not is_hamilton_path_connected(C6, 1)
-
 
 class TestEnumeration:
     # (n-1)!/2 distinct Hamilton cycles of the complete graph
@@ -185,23 +174,19 @@ class TestCliques:
             for sub in itertools.combinations(e, 3):
                 assert K3.has_edge(sub)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3), st.integers(0, 2), st.randoms(use_true_random=False))
+    def test_clique_graph_matches_brute_force(self, k, extra, rnd):
+        H = gen_random(8, k, 0.7, seed=rnd.randrange(10 ** 6))
+        within = sorted(rnd.sample(range(8), rnd.randrange(9)))
+        t = k + extra
+        expected = {
+            s for s in itertools.combinations(within, t)
+            if all(H.has_edge(sub) for sub in itertools.combinations(s, k))
+        }
+        assert clique_graph(H, t, within).edges == expected
+
     def test_find_clique(self):
         assert find_clique(complete(7, 2), 5) == (0, 1, 2, 3, 4)
         C6 = Hypergraph(6, 2, EllCycle(tuple(range(6)), 2, 1).edge_set())
         assert find_clique(C6, 3) is None
-
-
-class TestConnector:
-    def test_default_budget(self):
-        assert default_connector_max_vertices(2) == 256
-        assert default_connector_max_vertices(3) == 8 * 243
-
-    def test_minimum_length(self):
-        # complete host: the shortest 1-path joining two vertices is one edge
-        H = complete(8, 2)
-        conn = find_short_connector(H, 1, EndPair((0,), (5,)))
-        assert conn is not None and len(conn.order) == 2
-
-    def test_respects_max_vertices(self):
-        with pytest.raises(InvalidQueryError):
-            find_short_connector(complete(8, 2), 1, EndPair((0,), (5,)), max_vertices=1)

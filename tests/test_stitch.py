@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spancount import (
     DivisibilityError,
@@ -12,6 +13,7 @@ from spancount import (
     InvalidQueryError,
     Partition,
     complete,
+    enumerate_hamilton_ell_cycles,
     gen_random,
     is_respecting,
     lower_bound_count,
@@ -128,6 +130,58 @@ class TestStitchCycle:
         a = stitch_cycle(H, P, 1, seed=9)
         b = stitch_cycle(H, P, 1, seed=9)
         assert a.order == b.order and a.junctions == b.junctions
+
+
+class TestStitchProperties:
+    """Small random hosts, every 1 <= ell < k <= 4."""
+
+    @staticmethod
+    def draw_k_ell(data):
+        k = data.draw(st.integers(2, 4))
+        return k, data.draw(st.integers(1, k - 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_stitched_cycles_validate(self, data):
+        k, ell = self.draw_k_ell(data)
+        gap = k - ell
+        size = -(-(2 * ell + gap) // gap) * gap  # smallest block stitch_cycle accepts
+        n = size * data.draw(st.integers(1, 3))
+        H = gen_random(n, k, data.draw(st.sampled_from([0.85, 0.95, 1.0])),
+                       seed=data.draw(st.integers(0, 10 ** 6)))
+        order = data.draw(st.permutations(range(n)))
+        P = Partition(tuple(tuple(sorted(order[i:i + size])) for i in range(0, n, size)))
+        cert = stitch_cycle(H, P, ell, junction_budget=3, seed=data.draw(st.integers(0, 99)))
+        if cert is not None:
+            assert validate_ell_cycle(H, cert.cycle())
+            assert is_respecting(cert.cycle(), P)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_single_block_search_matches_enumerator(self, data):
+        k, ell = self.draw_k_ell(data)
+        n = data.draw(st.sampled_from([m for m in range(k + ell, 9) if m % (k - ell) == 0]))
+        H = gen_random(n, k, data.draw(st.sampled_from([0.3, 0.5, 0.7, 0.9])),
+                       seed=data.draw(st.integers(0, 10 ** 6)))
+        cert = stitch_cycle(H, Partition((tuple(range(n)),)), ell)
+        assert (cert is not None) == (enumerate_hamilton_ell_cycles(H, ell) > 0)
+        if cert is not None:
+            assert validate_ell_cycle(H, cert.cycle())
+
+    def test_window_phase_when_gap_does_not_divide_ell(self):
+        # k=3, ell=1: each block path's windows start at the previous junction
+        H = gen_random(24, 3, 0.97, 6)
+        sv = size_vector(24, 6, 2, 3)
+        part, _ = random_bisection(H, sv, GoodnessSpec(Fraction(1, 2), Fraction(1, 10)), seed=0)
+        cert = stitch_cycle(H, part, 1, seed=0)
+        assert cert is not None
+        assert validate_ell_cycle(H, cert.cycle()) and is_respecting(cert.cycle(), part)
+
+    def test_single_block_tries_every_root(self):
+        # the only Hamilton 1-cycle needs vertex 0 at an odd position
+        H = Hypergraph(6, 3, EllCycle((1, 0, 2, 3, 4, 5), 3, 1).windows())
+        cert = stitch_cycle(H, Partition((tuple(range(6)),)), 1)
+        assert cert is not None and validate_ell_cycle(H, cert.cycle())
 
 
 class TestStitchPowerCycle:
