@@ -38,8 +38,8 @@ from .partition import (
     Partition,
     check_good,
     derive_seed,
+    draw_bisection,
     estimate_good_probability,
-    random_bisection,
     size_vector,
 )
 from .paths import (
@@ -188,8 +188,8 @@ def _stitch_trial(payload) -> tuple:
     Top-level function so worker processes can unpickle it; returns
     (good, stitched, certificate JSON or None).
     """
-    H, sv, spec, target, power_mode, param, root_seed, trial, budget = payload
-    part, _trace = random_bisection(H, sv, spec, seed=derive_seed(root_seed, "bisect", trial))
+    H, sv, target, power_mode, param, root_seed, trial, budget = payload
+    part = Partition(tuple(draw_bisection(H, sv, derive_seed(root_seed, "bisect", trial))[-1]))
     report = check_good(H, part, target, sizes=sv.sizes, max_violations=1)
     if not report.good:
         return (False, False, None)
@@ -216,7 +216,7 @@ def cmd_stitch(args) -> Dict:
     param = args.t if power_mode else args.ell
 
     payloads = [
-        (H, sv, spec, target, power_mode, param, args.seed, trial, args.budget)
+        (H, sv, target, power_mode, param, args.seed, trial, args.budget)
         for trial in range(args.trials)
     ]
     if args.workers > 1:
@@ -333,28 +333,38 @@ def cmd_verify(args) -> Dict:
                 return data[name]
         raise InvalidQueryError(f"{kind} structure needs {' or '.join(names)}")
 
+    def integers(depth: int, *names):
+        """field(*names) as an int (depth 0) or as tuples of ints nested `depth` deep."""
+
+        def check(value, level: int):
+            if level == 0:
+                _require(type(value) is int, f"{kind} {names[0]} must hold only integers")
+                return value
+            _require(isinstance(value, list), f"{kind} {names[0]} must be a list")
+            return tuple(check(v, level - 1) for v in value)
+
+        return check(field(*names), depth)
+
     if kind == "ell-path":
-        valid = validate_ell_path(H, EllPath(tuple(field("order")), H.k, field("ell")))
+        valid = validate_ell_path(H, EllPath(integers(1, "order"), H.k, integers(0, "ell")))
     elif kind == "ell-cycle":
-        cycle = EllCycle(tuple(field("order")), H.k, field("ell", "param"))
+        cycle = EllCycle(integers(1, "order"), H.k, integers(0, "ell", "param"))
         valid = validate_ell_cycle(H, cycle)
         if valid and "blocks" in data:
-            valid = is_respecting(cycle, Partition(tuple(tuple(b) for b in data["blocks"])))
+            valid = is_respecting(cycle, Partition(integers(2, "blocks")))
     elif kind == "power-cycle":
-        cycle = PowerCycle(tuple(field("order")), field("t", "param"), H.k)
+        cycle = PowerCycle(integers(1, "order"), integers(0, "t", "param"), H.k)
         valid = validate_power_cycle(H, cycle)
         if valid and "blocks" in data:
-            valid = is_respecting(cycle, Partition(tuple(tuple(b) for b in data["blocks"])))
+            valid = is_respecting(cycle, Partition(integers(2, "blocks")))
     elif kind == "decomposition":
         if "pattern" in data:
             spec = FactorSpec(Hypergraph.from_edge_list(data["pattern"]))
         else:
             spec = single_edge_spec(H.k)
-        valid = verify_decomposition(
-            H, spec, FactorDecomposition(tuple(tuple(c) for c in field("copies")))
-        )
+        valid = verify_decomposition(H, spec, FactorDecomposition(integers(2, "copies")))
     elif kind == "partition":
-        part = Partition(tuple(tuple(b) for b in field("blocks")))
+        part = Partition(integers(2, "blocks"))
         valid = check_good(H, part, _fraction(str(field("delta")), "delta")).good
     else:
         raise SpancountError(f"unknown structure type {kind!r}")

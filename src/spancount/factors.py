@@ -122,6 +122,9 @@ def _factor_search(
     total = 0
     first: Optional[Tuple[Tuple[int, ...], ...]] = None
     chosen: List[Tuple[int, ...]] = []
+    # every uncovered vertex is at least the anchor, so a node's copies are
+    # its anchor's copies on range(anchor, n) that avoid the covered vertices
+    copies_at: Dict[int, List[Tuple[Tuple[int, ...], frozenset]]] = {}
 
     def descend(uncovered: frozenset) -> bool:
         """Search below `chosen`; True once the search should stop."""
@@ -133,7 +136,11 @@ def _factor_search(
             return not count_all
         counter.spend()
         anchor = min(uncovered)
-        for injection, _image in _canonical_copies(H, spec, sorted(uncovered), anchor):
+        if anchor not in copies_at:
+            copies_at[anchor] = _canonical_copies(H, spec, range(anchor, H.n), anchor)
+        for injection, _image in copies_at[anchor]:
+            if not uncovered.issuperset(injection):
+                continue
             chosen.append(injection)
             stop = descend(uncovered - frozenset(injection))
             chosen.pop()

@@ -116,13 +116,6 @@ class Hypergraph:
                 count += 1
         return count
 
-    def subset_degree(self, S: Iterable[int]) -> int:
-        """d_H(S): the number of edges containing S."""
-        s = frozenset(S)
-        if len(s) == self.k - 1:
-            return len(self.codegree_set(s))
-        return sum(1 for e in self._edges if s <= set(e))
-
     def min_d_degree(self, d: int) -> int:
         """Minimum of d_H(S) over all d-subsets S; d = k-1 is the codegree."""
         if not 1 <= d <= self.k - 1:

@@ -1,12 +1,16 @@
 """Random balanced partitions with per-level event tracking.
 
 A size vector splits n into r = 2^s nearly equal blocks, each a
-multiple of a required divisor.  The bisection repeatedly halves
-blocks uniformly at random with prescribed sizes and records, at every
-level, whether each block still sees high degree from every nearby
-(k-1)-set.  Event thresholds carry fractional-power terms
-(m^{-1/4}, m^{-1/3}); comparisons against integer degrees are done in
-exact integer arithmetic so marginal events never flip on rounding.
+multiple of a required divisor.  `draw_bisection` repeatedly halves
+blocks uniformly at random with prescribed sizes; `random_bisection`
+is that draw plus, at every level, whether each block still sees high
+degree from every nearby (k-1)-set.  Event thresholds carry
+fractional-power terms (m^{-1/4}, m^{-1/3}); each is turned once, in
+exact integer arithmetic, into the least integer degree that meets
+it, so marginal events never flip on rounding.
+
+The degree events and `check_good` scan one degree kernel, `_degrees`:
+d(U, V_i) for every (k-1)-set U of a three-block neighbourhood.
 
 At desk scale the thresholds frequently clamp to zero (events
 vacuously true); each event records whether that happened so
@@ -15,6 +19,7 @@ experiments can tell vacuous checks from substantive ones.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -22,7 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, InvalidQueryError
 from .hypergraphs import GoodnessSpec, Hypergraph
@@ -124,9 +129,6 @@ class Partition:
     def block_of(self) -> Dict[int, int]:
         return {v: i for i, b in enumerate(self.blocks) for v in b}
 
-    def to_text(self) -> str:
-        return "\n".join(" ".join(str(v) for v in b) for b in self.blocks) + "\n"
-
 
 @dataclass
 class EventRecord:
@@ -153,26 +155,20 @@ class BisectionTrace:
         return all(rec.holds for rec in self.events[i])
 
     def to_json(self) -> str:
+        def records(level: List[EventRecord]) -> List[Dict]:
+            return [{"size": r.size, "holds": r.holds, "clamped": r.clamped} for r in level]
+
         return json.dumps(
             {
                 "s": self.s,
                 "levels": [
                     {
                         "blocks": [list(b) for b in self.level_blocks[i]],
-                        "events": [
-                            {"size": r.size, "holds": r.holds, "clamped": r.clamped}
-                            for r in self.events[i]
-                        ],
+                        "events": records(self.events[i]),
                     }
                     for i in range(self.s + 1)
                 ],
-                "refinements": [
-                    [
-                        {"size": r.size, "holds": r.holds, "clamped": r.clamped}
-                        for r in level
-                    ]
-                    for level in self.refinements
-                ],
+                "refinements": [records(level) for level in self.refinements],
             }
         )
 
@@ -205,79 +201,56 @@ def degree_meets_threshold(d: int, spec: GoodnessSpec, m: int, exponent_den: int
     return shortfall ** exponent_den <= 2 ** exponent_den * m ** (exponent_den - 1)
 
 
-def threshold_clamps(spec: GoodnessSpec, m: int, exponent_den: int) -> bool:
-    """True when the event threshold is <= 0, making the event vacuous."""
-    lhs = (spec.delta + spec.gamma) * m
-    return lhs ** exponent_den <= 2 ** exponent_den * m ** (exponent_den - 1)
+@functools.lru_cache(maxsize=256)
+def _least_degree(spec: GoodnessSpec, m: int, exponent_den: int) -> int:
+    """The least integer degree that meets the event threshold; 0 means
+    the event is clamped.  The threshold is monotone in d."""
+    return next(d for d in itertools.count() if degree_meets_threshold(d, spec, m, exponent_den))
+
+
+def _degrees(
+    H: Hypergraph, blocks: Sequence[Tuple[int, ...]], j: int, block: Sequence[int]
+) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """The degree kernel: (U, d(U, block)) for every (k-1)-set U of blocks
+    j-1, j and j+1 (cyclically), in lexicographic order.
+
+    A codegree set never contains U's own vertices, so the count equals
+    H.degree(U, block - U).
+    """
+    r = len(blocks)
+    hood = set(blocks[(j - 1) % r]) | set(blocks[j]) | set(blocks[(j + 1) % r])
+    bset = set(block)
+    for U in itertools.combinations(sorted(hood), H.k - 1):
+        yield U, len(H.codegree_set(U) & bset)
+
+
+def _event(
+    H: Hypergraph, blocks: Sequence[Tuple[int, ...]], j: int, block, spec: GoodnessSpec, e: int
+) -> Tuple[bool, bool]:
+    """(holds, clamped) for the -1/e degree event of `block`, U ranging over
+    blocks j-1, j and j+1; the scan stops at the first U that fails."""
+    need = _least_degree(spec, len(block), e)
+    return need == 0 or all(d >= need for _U, d in _degrees(H, blocks, j, block)), need == 0
 
 
 # -- random bisection ----------------------------------------------------
 
 
-def _block_events(
-    H: Hypergraph,
-    blocks: Sequence[Tuple[int, ...]],
-    spec: GoodnessSpec,
-    level: int,
-    exponent_den: int,
-    u_blocks: Optional[Sequence[Sequence[Tuple[int, ...]]]] = None,
-) -> List[EventRecord]:
-    """Evaluate the degree event for every block at one level.
-
-    For block j the (k-1)-sets U range over blocks j-1, j, j+1
-    (cyclically); `u_blocks` overrides that neighbourhood (used for the
-    refinement events, whose U range over the parent's neighbourhood).
-    """
-    records = []
-    r = len(blocks)
-    for j, block in enumerate(blocks):
-        if u_blocks is not None:
-            hood = set().union(*map(set, u_blocks[j]))
-        else:
-            hood = set(blocks[(j - 1) % r]) | set(block) | set(blocks[(j + 1) % r])
-        m = len(block)
-        bset = set(block)
-        clamped = threshold_clamps(spec, m, exponent_den)
-        holds = True
-        if not clamped:
-            for U in itertools.combinations(sorted(hood), H.k - 1):
-                d = H.degree(set(U), bset - set(U))
-                if not degree_meets_threshold(d, spec, m, exponent_den):
-                    holds = False
-                    break
-        records.append(EventRecord(level, j, m, holds, clamped))
-    return records
-
-
-def random_bisection(
-    H: Hypergraph,
-    sv: SizeVector,
-    spec: GoodnessSpec,
-    seed: int,
-) -> Tuple[Partition, BisectionTrace]:
-    """Iteratively halve V(H) at random down to the size-vector blocks.
+def draw_bisection(H: Hypergraph, sv: SizeVector, seed: int) -> List[List[Tuple[int, ...]]]:
+    """The blocks of every level of a seeded random halving of V(H).
 
     Each level splits every block uniformly at random into prescribed
     halves (seeded shuffle + prefix/suffix cut, exactly uniform over
-    size-constrained bipartitions) and records the degree events E_{i,j}
-    and refinement events F_{i-1,j}.  Deterministic given the seed.
+    size-constrained bipartitions); the last level is the partition.
     """
     if sv.n != H.n:
         raise ConstructionError(f"size vector sums to {sv.n}, host has {H.n} vertices")
     tree = block_size_tree(sv)
-    s = len(tree) - 1
     rng = random.Random(seed)
-
     level_blocks: List[List[Tuple[int, ...]]] = [[tuple(range(H.n))]]
-    events: List[List[EventRecord]] = [
-        _block_events(H, level_blocks[0], spec, 0, 4)
-    ]
-    refinements: List[List[EventRecord]] = []
-
-    for i in range(1, s + 1):
-        parents = level_blocks[i - 1]
+    for i in range(1, len(tree)):
         children: List[Tuple[int, ...]] = []
-        for j, parent in enumerate(parents):
+        for j, parent in enumerate(level_blocks[-1]):
             left_size = tree[i][2 * j]
             right_size = tree[i][2 * j + 1]
             if left_size + right_size != len(parent):
@@ -289,36 +262,37 @@ def random_bisection(
             rng.shuffle(shuffled)
             children.append(tuple(sorted(shuffled[:left_size])))
             children.append(tuple(sorted(shuffled[left_size:])))
-        # F_{i-1,j}: both children meet the stronger -1/3 threshold with U
-        # ranging over the parent's three-block neighbourhood
-        rp = len(parents)
-        frecs = []
-        for j in range(rp):
-            hood_blocks = [parents[(j - 1) % rp], parents[j], parents[(j + 1) % rp]]
-            pair = _block_events(
-                H,
-                [children[2 * j], children[2 * j + 1]],
-                spec,
-                i,
-                3,
-                u_blocks=[hood_blocks, hood_blocks],
-            )
-            frecs.append(
-                EventRecord(
-                    i - 1,
-                    j,
-                    len(parents[j]),
-                    pair[0].holds and pair[1].holds,
-                    pair[0].clamped or pair[1].clamped,
-                )
-            )
-        refinements.append(frecs)
         level_blocks.append(children)
-        events.append(_block_events(H, children, spec, i, 4))
+    return level_blocks
 
+
+def random_bisection(
+    H: Hypergraph,
+    sv: SizeVector,
+    spec: GoodnessSpec,
+    seed: int,
+) -> Tuple[Partition, BisectionTrace]:
+    """draw_bisection's partition, with the degree events E_{i,j} and
+    refinement events F_{i-1,j} of every level.  Deterministic given
+    the seed."""
+    level_blocks = draw_bisection(H, sv, seed)
+    events = [
+        [EventRecord(i, j, len(b), *_event(H, blocks, j, b, spec, 4)) for j, b in enumerate(blocks)]
+        for i, blocks in enumerate(level_blocks)
+    ]
+    refinements: List[List[EventRecord]] = []
+    for i in range(1, len(level_blocks)):
+        parents, children = level_blocks[i - 1], level_blocks[i]
+        frecs = []
+        for j, parent in enumerate(parents):
+            # F_{i-1,j}: both children meet the stronger -1/3 threshold with U
+            # ranging over the parent's three-block neighbourhood
+            pair = children[2 * j:2 * j + 2]
+            (h0, c0), (h1, c1) = (_event(H, parents, j, c, spec, 3) for c in pair)
+            frecs.append(EventRecord(i - 1, j, len(parent), h0 and h1, c0 or c1))
+        refinements.append(frecs)
     partition = Partition(tuple(level_blocks[-1]))
-    trace = BisectionTrace(s, level_blocks, events, refinements)
-    return partition, trace
+    return partition, BisectionTrace(len(level_blocks) - 1, level_blocks, events, refinements)
 
 
 # -- goodness checks -----------------------------------------------------
@@ -356,12 +330,8 @@ def check_good(
     if sizes is not None and tuple(sizes) != P.sizes():
         return GoodnessReport(False, [], None)
     min_ratio: Optional[Fraction] = None
-    r = P.r
     for i, block in enumerate(P.blocks):
-        hood = set(P.blocks[(i - 1) % r]) | set(block) | set(P.blocks[(i + 1) % r])
-        bset = set(block)
-        for U in itertools.combinations(sorted(hood), H.k - 1):
-            d = H.degree(set(U), bset - set(U))
+        for U, d in _degrees(H, P.blocks, i, block):
             ratio = Fraction(d, len(block))
             if min_ratio is None or ratio < min_ratio:
                 min_ratio = ratio

@@ -2,9 +2,12 @@
 
 import csv
 import json
+from fractions import Fraction
 
 import pytest
 
+from spancount import GoodnessSpec, complete, derive_seed, random_bisection, size_vector
+from spancount import cli
 from spancount.cli import _flatten, main
 
 
@@ -143,9 +146,37 @@ class TestExitCodes:
         struct.write_text(json.dumps({"type": "partition", "blocks": blocks}))
         assert main(["verify", "--input", host, "--structure", str(struct)]) == 2
 
+    @pytest.mark.parametrize("structure", [
+        {"type": "ell-cycle", "ell": 1, "order": ["a", "b", "c", "d", "e", "f"]},
+        {"type": "ell-cycle", "ell": "1", "order": [0, 1, 2, 3, 4, 5]},
+        {"type": "decomposition", "copies": [[0, 1, "a"], [3, 4, 5]]},
+        {"type": "partition", "delta": "1/2", "blocks": [[0, 1, 2], 5]},
+    ], ids=["string-order", "string-ell", "string-copy", "int-block"])
+    def test_non_integer_structure_field_is_2(self, tmp_path, structure):
+        k6 = tmp_path / "k6.txt"
+        assert main(["generate", "--family", "complete", "--n", "6", "--k", "3",
+                     "--out", str(k6)]) == 0
+        struct = tmp_path / "s.json"
+        struct.write_text(json.dumps(structure))
+        assert main(["verify", "--input", str(k6), "--structure", str(struct)]) == 2
+
     def test_zero_trials_is_2(self, host):
         assert main(["stitch", "--input", host, "--ell", "2", "--m", "2", "--delta", "1/2",
                      "--gamma", "1/10", "--trials", "0"]) == 2
+
+
+class TestStitchTrial:
+    def test_stitches_the_random_bisection_partition(self, monkeypatch):
+        H = complete(24, 3)
+        sv = size_vector(24, 3, 2, 3)
+        spec = GoodnessSpec(Fraction(1, 2), Fraction(1, 10))
+        stitched = []
+        monkeypatch.setattr(cli, "stitch_cycle", lambda H, part, ell, **kw: stitched.append(part))
+        for trial in range(3):
+            payload = (H, sv, spec.delta + spec.gamma / 2, False, 2, 11, trial, None)
+            assert cli._stitch_trial(payload) == (True, False, None)
+            seed = derive_seed(11, "bisect", trial)
+            assert stitched[-1] == random_bisection(H, sv, spec, seed)[0]
 
 
 class TestFactorsCommand:

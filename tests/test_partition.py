@@ -3,12 +3,14 @@
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spancount import (
     ConstructionError,
+    GoodnessReport,
     GoodnessSpec,
     HypergeometricParams,
     InvalidQueryError,
@@ -224,6 +226,93 @@ class TestGoodness:
         # complete block K_6: vertex degree C(5,2) over C(6,2) gives 2/3
         report = check_good_factor(H, P, 1, Fraction(1, 2))
         assert report.good and report.min_ratio == Fraction(2, 3)
+
+
+def _reference_degrees(H, blocks, i, block):
+    """(U, d(U, block)) for U in blocks i-1, i and i+1, from H.degree."""
+    r = len(blocks)
+    hood = set(blocks[(i - 1) % r]) | set(blocks[i]) | set(blocks[(i + 1) % r])
+    for U in combinations(sorted(hood), H.k - 1):
+        yield U, H.degree(set(U), set(block) - set(U))
+
+
+def _reference_event(H, blocks, i, block, spec, e):
+    """(holds, clamped): every U meets the threshold; it is met at d = 0."""
+    m = len(block)
+    holds = all(
+        degree_meets_threshold(d, spec, m, e) for _, d in _reference_degrees(H, blocks, i, block)
+    )
+    return holds, degree_meets_threshold(0, spec, m, e)
+
+
+def _reference_goodness(H, P, delta, max_violations):
+    violations, ratios, truncated = [], [], False
+    for i, block in enumerate(P.blocks):
+        for U, d in _reference_degrees(H, P.blocks, i, block):
+            ratios.append(Fraction(d, len(block)))
+            if ratios[-1] < delta:
+                if len(violations) < max_violations:
+                    violations.append((i, U))
+                else:
+                    truncated = True
+    return GoodnessReport(not violations and not truncated, violations, min(ratios), truncated)
+
+
+@st.composite
+def _bisection_cases(draw):
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(2 * k, {2: 48, 3: 24, 4: 14}[k]))
+    m = draw(st.integers(1, n // 2))
+    H = gen_random(n, k, draw(st.sampled_from([0.3, 0.7, 0.9, 1.0])), draw(st.integers(0, 99)))
+    delta = draw(st.sampled_from([Fraction(2, 5), Fraction(13, 20), Fraction(9, 10)]))
+    return H, size_vector(n, m, 1, k), GoodnessSpec(delta, Fraction(1, 10))
+
+
+class TestDegreeKernel:
+    """Events and goodness reports against references built from H.degree."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_bisection_cases(), st.integers(0, 99), st.sampled_from([1, 3, 50]))
+    @example((gen_random(48, 2, 0.5, 0), size_vector(48, 6, 1, 2),
+              GoodnessSpec(Fraction(9, 10), Fraction(1, 10))), 0, 1)
+    @example((gen_random(48, 2, 0.97, 2), size_vector(48, 12, 1, 2),
+              GoodnessSpec(Fraction(9, 10), Fraction(1, 10))), 3, 50)
+    # a level-1 refinement whose verdict needs U outside the children's
+    # own neighbourhood but inside the parent's
+    @example((gen_random(48, 2, 0.4, 0), size_vector(48, 6, 1, 2),
+              GoodnessSpec(Fraction(9, 10), Fraction(1, 10))), 2, 3)
+    def test_events_and_goodness_match_reference(self, case, seed, cap):
+        H, sv, spec = case
+        part, trace = random_bisection(H, sv, spec, seed)
+        levels = trace.level_blocks
+        assert part == Partition(levels[-1])
+        for i, blocks in enumerate(levels):
+            want = [(j, *_reference_event(H, blocks, j, b, spec, 4)) for j, b in enumerate(blocks)]
+            assert [(rec.index, rec.holds, rec.clamped) for rec in trace.events[i]] == want
+            assert [(rec.level, rec.size) for rec in trace.events[i]] == [
+                (i, len(b)) for b in blocks
+            ]
+        for i in range(1, trace.s + 1):
+            parents, children = levels[i - 1], levels[i]
+            for j, rec in enumerate(trace.refinements[i - 1]):
+                pair = [_reference_event(H, parents, j, children[2 * j + c], spec, 3)
+                        for c in (0, 1)]
+                assert (rec.level, rec.index, rec.size) == (i - 1, j, len(parents[j]))
+                assert rec.holds == (pair[0][0] and pair[1][0])
+                assert rec.clamped == (pair[0][1] or pair[1][1])
+        target = spec.delta + spec.gamma / 2
+        assert check_good(H, part, target, max_violations=cap) == _reference_goodness(
+            H, part, target, cap
+        )
+
+    def test_first_example_has_substantive_events(self):
+        # n = 48, delta + gamma = 1: the level-0 event is substantive and
+        # holds, and the level-0 refinement is substantive and fails
+        H = gen_random(48, 2, 0.5, 0)
+        spec = GoodnessSpec(Fraction(9, 10), Fraction(1, 10))
+        _, trace = random_bisection(H, size_vector(48, 6, 1, 2), spec, 0)
+        assert (trace.events[0][0].holds, trace.events[0][0].clamped) == (True, False)
+        assert (trace.refinements[0][0].holds, trace.refinements[0][0].clamped) == (False, False)
 
 
 class TestHypergeometric:
