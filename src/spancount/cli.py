@@ -220,8 +220,11 @@ def cmd_stitch(args) -> Dict:
         for trial in range(args.trials)
     ]
     if args.workers > 1:
+        # one chunk per worker: a chunk is pickled once, so its trials share
+        # one copy of H and the codegree index its first trial builds
+        chunksize = -(-args.trials // args.workers)
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            outcomes = list(pool.map(_stitch_trial, payloads))
+            outcomes = list(pool.map(_stitch_trial, payloads, chunksize=chunksize))
     else:
         outcomes = [_stitch_trial(p) for p in payloads]
 

@@ -1,8 +1,11 @@
 """k-uniform hypergraphs with exact degree queries.
 
 Vertices are dense integers 0..n-1 and edges are sorted k-tuples.  A
-hypergraph is immutable after construction; a per-(k-1)-subset neighbour
-index makes codegree queries cheap, which dominates the partition
+hypergraph is immutable after construction.  Its codegree index, built
+on first use, maps each sorted (k-1)-tuple U to one int bitmask whose
+bit v is set iff U + {v} is an edge.  A degree into a vertex set S is
+then `(mask & S's mask).bit_count()`, and the searches cut their
+candidates down with `&`.  Codegree queries dominate the partition
 goodness checks.
 
 Degrees and thresholds are exact (ints / Fractions), never floats, so
@@ -11,13 +14,15 @@ comparisons like delta(H) >= (d + g) * n never hinge on rounding.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Tuple
 
 from .errors import InvalidQueryError
 
@@ -27,7 +32,7 @@ Edge = Tuple[int, ...]
 class Hypergraph:
     """An n-vertex k-uniform hypergraph over vertices 0..n-1."""
 
-    __slots__ = ("n", "k", "_edges", "_conbr", "_incidence")
+    __slots__ = ("n", "k", "_edges", "_conbr")
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]] = ()):
         if k < 1:
@@ -45,8 +50,7 @@ class Hypergraph:
                 raise InvalidQueryError(f"edge {t} has vertices outside 0..{n - 1}")
             canon.add(t)
         self._edges: FrozenSet[Edge] = frozenset(canon)
-        self._conbr: Dict[Edge, set] | None = None
-        self._incidence: Dict[int, list] | None = None
+        self._conbr: Dict[Edge, int] | None = None
 
     # -- basic accessors ------------------------------------------------
 
@@ -79,23 +83,27 @@ class Hypergraph:
 
     # -- degree queries -------------------------------------------------
 
-    def _codegree_neighbours(self) -> Dict[Edge, set]:
-        """Map each (k-1)-subset of an edge to the set of completing vertices."""
+    def _codegree_neighbours(self) -> Dict[Edge, int]:
+        """Map each (k-1)-subset U of an edge to the bitmask of the vertices
+        v completing it: bit v is set iff U + {v} is an edge."""
         if self._conbr is None:
-            nbr: Dict[Edge, set] = {}
+            nbr: Dict[Edge, int] = {}
+            get = nbr.get
             for e in self._edges:
                 for i in range(self.k):
                     u = e[:i] + e[i + 1:]
-                    nbr.setdefault(u, set()).add(e[i])
+                    nbr[u] = get(u, 0) | 1 << e[i]
             self._conbr = nbr
         return self._conbr
 
     def codegree_set(self, U: Iterable[int]) -> set:
-        """Vertices v such that U + {v} is an edge; U must have k-1 vertices."""
+        """Vertices v such that U + {v} is an edge; U must have k-1 vertices.
+
+        The set is a fresh copy: changing it leaves the index alone."""
         u = tuple(sorted(U))
         if len(u) != self.k - 1:
             raise InvalidQueryError(f"codegree set needs |U| = {self.k - 1}, got {len(u)}")
-        return self._codegree_neighbours().get(u, set())
+        return set(mask_vertices(self._codegree_neighbours().get(u, 0)))
 
     def degree(self, U: Iterable[int], S: Iterable[int]) -> int:
         """d(U, S): edges containing U whose remaining vertices all lie in S."""
@@ -108,7 +116,8 @@ class Hypergraph:
         if any(v < 0 or v >= self.n for v in u | s):
             raise InvalidQueryError("U and S must be subsets of the vertex set")
         if len(u) == self.k - 1:
-            return len(self.codegree_set(u) & s)
+            nbrs = self._codegree_neighbours().get(tuple(sorted(u)), 0)
+            return (nbrs & vertex_mask(s)).bit_count()
         count = 0
         for e in self._edges:
             es = set(e)
@@ -171,7 +180,7 @@ class Hypergraph:
             raise InvalidQueryError(f"header must be 'n k', got {lines[0]!r}")
         try:
             n, k = int(head[0]), int(head[1])
-            edges = [tuple(int(v) for v in ln.split()) for ln in lines[1:]]
+            edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
         except ValueError as exc:
             raise InvalidQueryError(f"edge list entries must be integers: {exc}") from None
         return cls(n, k, edges)
@@ -185,6 +194,19 @@ class Hypergraph:
     def from_json(cls, text: str) -> "Hypergraph":
         data = json.loads(text)
         return cls(data["n"], data["k"], [tuple(e) for e in data["edges"]])
+
+
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """The bitmask of a set of non-negative vertices: bit v for each v."""
+    return functools.reduce(operator.or_, map((1).__lshift__, vertices), 0)
+
+
+def mask_vertices(m: int) -> Iterator[int]:
+    """The vertices of a bitmask, in ascending order."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ exact integer arithmetic, into the least integer degree that meets
 it, so marginal events never flip on rounding.
 
 The degree events and `check_good` scan one degree kernel, `_degrees`:
-d(U, V_i) for every (k-1)-set U of a three-block neighbourhood.
+d(U, V_i) for every (k-1)-set U of a three-block neighbourhood, each
+one `&` of U's codegree bitmask with V_i's and a popcount.
 
 At desk scale the thresholds frequently clamp to zero (events
 vacuously true); each event records whether that happened so
@@ -30,7 +31,7 @@ from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, InvalidQueryError
-from .hypergraphs import GoodnessSpec, Hypergraph
+from .hypergraphs import GoodnessSpec, Hypergraph, vertex_mask
 
 
 # -- size vectors --------------------------------------------------------
@@ -219,9 +220,10 @@ def _degrees(
     """
     r = len(blocks)
     hood = set(blocks[(j - 1) % r]) | set(blocks[j]) | set(blocks[(j + 1) % r])
-    bset = set(block)
+    nbrs = H._codegree_neighbours()
+    bmask = vertex_mask(block)
     for U in itertools.combinations(sorted(hood), H.k - 1):
-        yield U, len(H.codegree_set(U) & bset)
+        yield U, (nbrs.get(U, 0) & bmask).bit_count()
 
 
 def _event(
@@ -331,15 +333,20 @@ def check_good(
         return GoodnessReport(False, [], None)
     min_ratio: Optional[Fraction] = None
     for i, block in enumerate(P.blocks):
+        # d / |V_i| < delta, in integers
+        num, den = delta.numerator * len(block), delta.denominator
+        least = None
         for U, d in _degrees(H, P.blocks, i, block):
-            ratio = Fraction(d, len(block))
-            if min_ratio is None or ratio < min_ratio:
-                min_ratio = ratio
-            if ratio < delta:
+            if least is None or d < least:
+                least = d
+            if d * den < num:
                 if len(violations) < max_violations:
                     violations.append((i, U))
                 else:
                     truncated = True
+        if least is not None:
+            ratio = Fraction(least, len(block))
+            min_ratio = ratio if min_ratio is None else min(min_ratio, ratio)
     return GoodnessReport(not violations and not truncated, violations, min_ratio, truncated)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, DivisibilityError, InvalidQueryError, InvalidStructureError
-from .hypergraphs import Hypergraph
+from .hypergraphs import Hypergraph, mask_vertices, vertex_mask
 
 
 # -- domain types --------------------------------------------------------
@@ -217,30 +217,31 @@ def _ordered_search(
     Positions after `prefix` are filled in order.  A position in `pinned`
     takes its given vertex; any other takes the free vertices of `pool`
     in ascending order.  Either way the vertex must complete each window
-    that closes there, so candidates are cut down to those windows'
-    codegree sets.  Entering a position spends one budget node.
+    that closes there, so the candidate bitmask is cut down to those
+    windows' codegree masks.  Entering a position spends one budget node.
     """
     _, closing = _window_layout(H.k, H.k - ell, length, cyclic)
     pinned = pinned or {}
     order = list(prefix) + [-1] * (length - len(prefix))
-    free = set(pool).difference(prefix, pinned.values())
-    codegree = H.codegree_set
+    free = vertex_mask(pool) & ~vertex_mask(itertools.chain(prefix, pinned.values()))
+    nbrs = H._codegree_neighbours()
 
     def place(p: int) -> Iterator[Tuple[int, ...]]:
+        nonlocal free
         if p == length:
             yield tuple(order)
             return
         budget.spend()
         forced = pinned.get(p)
-        candidates = free if forced is None else {forced}
+        candidates = free if forced is None else 1 << forced
         for others in closing[p]:
-            candidates = candidates & codegree([order[q] for q in others])
-        for v in sorted(candidates):
+            candidates &= nbrs.get(tuple(sorted([order[q] for q in others])), 0)
+        for v in mask_vertices(candidates):
             order[p] = v
-            free.discard(v)
+            free &= ~(1 << v)
             yield from place(p + 1)
             if forced is None:
-                free.add(v)
+                free |= 1 << v
 
     return place(len(prefix))
 
@@ -366,28 +367,29 @@ def _cliques(
     """Yield every `size`-set of vertices of `within` (default: all of H)
     that spans a k-uniform clique of H, in lexicographic order.
 
-    Choosing a vertex cuts the later candidates down to the codegree sets
-    of the (k-1)-sets it completes.  With a budget, entering a partial
-    clique spends one node.
+    Choosing a vertex cuts the later candidates' bitmask down to the
+    codegree masks of the (k-1)-sets it completes.  With a budget,
+    entering a partial clique spends one node.
     """
     k = H.k
-    pool = sorted(range(H.n) if within is None else within)
+    nbrs = H._codegree_neighbours()
+    pool = vertex_mask(range(H.n) if within is None else within)
     if k == 1:  # every vertex of a 1-uniform clique is itself an edge
-        pool = [v for v in pool if H.has_edge((v,))]
+        pool &= nbrs.get((), 0)
     chosen: List[int] = []
 
-    def extend(candidates: List[int]) -> Iterator[Tuple[int, ...]]:
+    def extend(candidates: int) -> Iterator[Tuple[int, ...]]:
         if len(chosen) == size:
             yield tuple(chosen)
             return
         if budget is not None:
             budget.spend()
-        for i, v in enumerate(candidates):
-            rest = candidates[i + 1:]
-            # v completes the (k-1)-sets sub + v, sub a (k-2)-subset of chosen
+        for v in mask_vertices(candidates):
+            rest = candidates >> (v + 1) << (v + 1)  # the candidates above v
+            # v completes the (k-1)-sets sub + v, sub a (k-2)-subset of chosen;
+            # chosen is ascending and below v, so sub + v is sorted
             for sub in itertools.combinations(chosen, k - 2) if k > 1 else ():
-                common = H.codegree_set(sub + (v,))
-                rest = [u for u in rest if u in common]
+                rest &= nbrs.get(sub + (v,), 0)
             chosen.append(v)
             yield from extend(rest)
             chosen.pop()

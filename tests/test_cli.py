@@ -94,6 +94,21 @@ class TestStitchCommand:
         cert = outs[0]["results"]["sample_certificate"]
         assert sorted(cert["order"]) == list(range(24))
 
+        # a random host, with chunks of unequal size and a single trial
+        binomial = tmp_path / "b24.txt"
+        assert main(["generate", "--family", "binomial", "--n", "24", "--k", "3",
+                     "--p", "0.97", "--seed", "4", "--out", str(binomial)]) == 0
+
+        def results(trials, workers):
+            out = tmp_path / f"b-{trials}-{workers}.json"
+            assert main(["stitch", "--input", str(binomial), "--ell", "1", "--m", "6",
+                         "--delta", "1/2", "--gamma", "1/10", "--trials", str(trials),
+                         "--seed", "5", "--workers", str(workers), "--out", str(out)]) == 0
+            return json.loads(out.read_text())["results"]
+
+        for trials, workers in ((4, 2), (3, 2), (1, 2)):
+            assert results(trials, workers) == results(trials, 1)
+
     def test_verify_roundtrip(self, tmp_path):
         hostfile = tmp_path / "k24.txt"
         assert main(["generate", "--family", "complete", "--n", "24", "--k", "3",

@@ -79,6 +79,25 @@ class TestDegrees:
         assert H.codegree_set((0, 1)) == {2, 3}
         assert H.codegree_set((0, 4)) == set()
 
+    def test_codegree_set_is_a_copy(self):
+        H = complete(6, 3)
+        H.codegree_set((0, 1)).clear()
+        assert H.codegree_set((0, 1)) == {2, 3, 4, 5}
+        assert H.degree((0, 1), range(2, 6)) == 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_codegree_index_matches_brute_force(self, data):
+        k = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(k, 9))
+        p = data.draw(st.floats(0, 1))
+        H = gen_random(n, k, p, seed=data.draw(st.integers(0, 2**32)))
+        for U in itertools.combinations(range(n), k - 1):
+            rest = set(range(n)) - set(U)
+            assert H.codegree_set(U) == {v for v in rest if H.has_edge(U + (v,))}
+            S = data.draw(st.sets(st.sampled_from(sorted(rest))))
+            assert H.degree(U, S) == brute_degree(H, U, S)
+
     def test_min_codegree_complete(self):
         # every (k-1)-set extends to all n-(k-1) other vertices
         assert complete(7, 3).min_codegree() == 5
