@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import InvalidQueryError, InvalidStructureError
 from .hypergraphs import Hypergraph
-from .paths import EllPath, _Budget, _ordered_search, _search_path, validate_ell_path
+from .paths import EllPath, _Budget, _ordered_search, _search_path, _windows, validate_ell_path
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def classify_set(
     pool = [v for v in range(H.n) if v not in s]
     absorb_cache: Dict[Tuple[frozenset, Tuple[int, ...], Tuple[int, ...]], bool] = {}
     count = 0
-    for order in _ordered_search(H, ell, t, pool, counter):
+    for order in _ordered_search(H, _windows(k, k - ell, t, False), t, pool, counter):
         a, b = order[:ell], order[-ell:]
         key = (frozenset(order), a, b)
         hit = absorb_cache.get(key)

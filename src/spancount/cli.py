@@ -209,6 +209,11 @@ def cmd_stitch(args) -> Dict:
         "stitch needs --ell (ell-cycles) or --t (powers of tight cycles)",
     )
     _require(args.trials >= 1, "--trials must be >= 1")
+    _require(args.workers >= 1, "--workers must be >= 1")
+    _require(
+        not (args.exact_count and power_mode) or args.t == H.k,
+        f"--exact-count counts Hamilton tight cycles, so with --t it needs t = k = {H.k}",
+    )
     divisor = 1 if power_mode else max(1, H.k - args.ell)
     sv = size_vector(H.n, args.m, divisor, H.k)
     spec = GoodnessSpec(_fraction(args.delta, "--delta"), _fraction(args.gamma, "--gamma"))
@@ -298,10 +303,8 @@ def cmd_factors(args) -> Dict:
 def cmd_absorb_classify(args) -> Dict:
     H = _load_host(args.input)
     cfg = AbsorberConfig(_fraction(args.beta, "--beta"), args.t)
-    size = H.k - args.ell
-    sets = list(itertools.combinations(range(H.n), size))
-    if args.limit:
-        sets = sets[:args.limit]
+    _require(args.limit is None or args.limit >= 1, "--limit must be >= 1")
+    sets = list(itertools.combinations(range(H.n), H.k - args.ell))[:args.limit]
     classified = []
     for S in sets:
         count, good = classify_set(H, S, cfg, args.ell, budget=args.budget)
@@ -385,11 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seeded=True, report=True):
+    def common(p, *, seeded=True, report=True, searches=True):
         if report:
             p.add_argument("--out", help="report path (stdout if omitted); never overwritten")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--budget", type=int, help="search node budget")
+        if searches:
+            p.add_argument("--budget", type=int, help="search node budget")
         if seeded:
             p.add_argument("--seed", type=int, default=0)
 
@@ -402,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--t", type=int, help="block size for planted-factor")
     g.add_argument("--p", type=str, default="1/2", help="edge probability for binomial")
     g.add_argument("--out", required=True, help="edge-list path; never overwritten")
-    common(g, report=False)
+    common(g, report=False, searches=False)
     g.set_defaults(func=cmd_generate, report_to_stdout=True)
 
     p = sub.add_parser("partition", help="estimate goodness probability of random partitions")
@@ -413,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=str, required=True)
     p.add_argument("--gamma", type=str, required=True)
     p.add_argument("--trials", type=int, default=100)
-    common(p)
+    common(p, searches=False)
     p.set_defaults(func=cmd_partition)
 
     s = sub.add_parser("stitch", help="full pipeline: bisect, check goodness, stitch")
@@ -458,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="validate a structure JSON against a host")
     v.add_argument("--input", required=True)
     v.add_argument("--structure", required=True)
-    common(v, seeded=False)
+    common(v, seeded=False, searches=False)
     v.set_defaults(func=cmd_verify)
 
     return parser

@@ -4,27 +4,32 @@ An F-factor is a set of vertex-disjoint copies of a pattern k-graph F
 covering every vertex of the host.  Copies are canonicalized by their
 vertex set together with the edge image in the host, and decompositions
 are sets of canonical copies, so counting never multiplies by pattern
-automorphisms or by the order copies were found in.
+automorphisms or by the order copies were found in.  The copies of F
+through a vertex come from the shared ordered-window search of `paths`,
+with F's edges as the window layout.
 
 Backtracking always covers the smallest uncovered vertex next, which
 eliminates permutation overcounting of the copies during enumeration.
+The search can be restricted to a vertex set, so factor stitching
+searches each block of a partition on the host itself, in its own
+labels.  Every decomposition that leaves this module has been checked
+against the host with `verify_decomposition`.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import RationalBracket, exp_neg_bracket
 from .bounds import multinomial as _multinomial
 from .errors import DivisibilityError, InvalidQueryError
 from .hypergraphs import Hypergraph, complete
 from .partition import Partition, SizeVector
-from .paths import _Budget
+from .paths import _Budget, _ordered_search
 
 
 @dataclass(frozen=True)
@@ -84,26 +89,22 @@ def _canonical_copies(
 ) -> List[Tuple[Tuple[int, ...], frozenset]]:
     """Distinct copies of F on `available` vertices containing `anchor`.
 
-    Returns (representative injection, edge image) pairs, one per
-    distinct (vertex set, edge image); sorted for determinism.
+    Returns (least injection, edge image) pairs, one per distinct
+    (vertex set, edge image); sorted for determinism.  The injections
+    come from the ordered-window search with F's edges as the window
+    layout and the anchor pinned at each vertex of F in turn; finding
+    them spends no budget.
     """
-    found: Dict[Tuple[Tuple[int, ...], frozenset], Tuple[int, ...]] = {}
-    pool = [v for v in available if v != anchor]
-    for rest in itertools.combinations(pool, spec.t - 1):
-        vset = tuple(sorted((anchor,) + rest))
-        for perm in itertools.permutations(vset):
-            image = []
-            ok = True
-            for e in spec.F.edges:
-                img = tuple(sorted(perm[v] for v in e))
-                if not H.has_edge(img):
-                    ok = False
-                    break
-                image.append(img)
-            if ok:
-                key = (vset, frozenset(image))
-                found.setdefault(key, perm)
-    return sorted((found[key], key[1]) for key in found)
+    edges = tuple(sorted(spec.F.edges))
+    least: Dict[Tuple[frozenset, frozenset], Tuple[int, ...]] = {}
+    for i in range(spec.t):
+        pinned = {i: anchor}
+        for injection in _ordered_search(H, edges, spec.t, available, None, pinned=pinned):
+            image = frozenset(tuple(sorted(injection[v] for v in e)) for e in edges)
+            key = (frozenset(injection), image)
+            if key not in least or injection < least[key]:
+                least[key] = injection
+    return sorted((injection, key[1]) for key, injection in least.items())
 
 
 def _factor_search(
@@ -111,11 +112,14 @@ def _factor_search(
     spec: FactorSpec,
     budget: Optional[int],
     count_all: bool,
+    within: Optional[Iterable[int]] = None,
 ) -> Tuple[int, Optional[FactorDecomposition]]:
-    """Shared backtracking core: the number of F-factors reached and the
-    first one, verified; stops at the first unless `count_all`."""
-    if H.n % spec.t != 0:
-        raise DivisibilityError(f"|F| = {spec.t} must divide |H| = {H.n}")
+    """Shared backtracking core: the number of F-factors of H[within]
+    (default: all of H) reached and the first one; stops at the first
+    unless `count_all`.  The caller verifies what it returns."""
+    cover = frozenset(range(H.n) if within is None else within)
+    if len(cover) % spec.t != 0:
+        raise DivisibilityError(f"|F| = {spec.t} must divide the {len(cover)} vertices to cover")
     if spec.F.k != H.k:
         raise InvalidQueryError(f"pattern uniformity {spec.F.k} != host uniformity {H.k}")
     counter = _Budget(budget)
@@ -123,7 +127,8 @@ def _factor_search(
     first: Optional[Tuple[Tuple[int, ...], ...]] = None
     chosen: List[Tuple[int, ...]] = []
     # every uncovered vertex is at least the anchor, so a node's copies are
-    # its anchor's copies on range(anchor, n) that avoid the covered vertices
+    # its anchor's copies on the cover from the anchor up that avoid the
+    # covered vertices
     copies_at: Dict[int, List[Tuple[Tuple[int, ...], frozenset]]] = {}
 
     def descend(uncovered: frozenset) -> bool:
@@ -137,7 +142,8 @@ def _factor_search(
         counter.spend()
         anchor = min(uncovered)
         if anchor not in copies_at:
-            copies_at[anchor] = _canonical_copies(H, spec, range(anchor, H.n), anchor)
+            available = [v for v in cover if v >= anchor]
+            copies_at[anchor] = _canonical_copies(H, spec, available, anchor)
         for injection, _image in copies_at[anchor]:
             if not uncovered.issuperset(injection):
                 continue
@@ -148,20 +154,24 @@ def _factor_search(
                 return True
         return False
 
-    descend(frozenset(range(H.n)))
-    if first is None:
-        return total, None
-    dec = FactorDecomposition(first)
-    if not verify_decomposition(H, spec, dec):
+    descend(cover)
+    return total, None if first is None else FactorDecomposition(first)
+
+
+def _verified(
+    H: Hypergraph, spec: FactorSpec, dec: Optional[FactorDecomposition]
+) -> Optional[FactorDecomposition]:
+    """`dec` once verify_decomposition accepts it as an F-factor of H."""
+    if dec is not None and not verify_decomposition(H, spec, dec):
         raise AssertionError("factor search returned an invalid decomposition")
-    return total, dec
+    return dec
 
 
 def find_f_factor(
     H: Hypergraph, spec: FactorSpec, budget: Optional[int] = None
 ) -> Optional[FactorDecomposition]:
     """An F-factor of H found by exact backtracking, or None."""
-    return _factor_search(H, spec, budget, count_all=False)[1]
+    return _verified(H, spec, _factor_search(H, spec, budget, count_all=False)[1])
 
 
 def factor_census(
@@ -169,7 +179,8 @@ def factor_census(
 ) -> Tuple[int, Optional[FactorDecomposition]]:
     """The exact number of distinct F-factors of H and the first one the
     search reaches (the one find_f_factor returns), from one search."""
-    return _factor_search(H, spec, budget, count_all=True)
+    count, dec = _factor_search(H, spec, budget, count_all=True)
+    return count, _verified(H, spec, dec)
 
 
 def count_f_factors(H: Hypergraph, spec: FactorSpec, budget: Optional[int] = None) -> int:
@@ -195,22 +206,17 @@ def matching_count_closed_form(n: int, k: int) -> int:
 def stitch_factor(
     H: Hypergraph, P: Partition, spec: FactorSpec, budget: Optional[int] = None
 ) -> Optional[FactorDecomposition]:
-    """Per-block F-factors over a partition, unioned; None if any block fails."""
+    """Per-block F-factors over a partition of H's vertices, each searched
+    on H itself with its own budget, unioned; None if any block fails."""
+    if P.vertex_set() != frozenset(range(H.n)):
+        raise InvalidQueryError("the partition must cover exactly the host's vertices")
     copies: List[Tuple[int, ...]] = []
     for block in P.blocks:
-        if len(block) % spec.t != 0:
-            raise DivisibilityError(
-                f"|F| = {spec.t} must divide the block size {len(block)}"
-            )
-        sub = H.induced(block)
-        dec = find_f_factor(sub.graph, spec, budget)
+        dec = _factor_search(H, spec, budget, count_all=False, within=block)[1]
         if dec is None:
             return None
-        copies.extend(sub.globalize(c) for c in dec.copies)
-    result = FactorDecomposition(tuple(copies))
-    if not verify_decomposition(H, spec, result):
-        raise AssertionError("stitched factor failed verification")
-    return result
+        copies.extend(dec.copies)
+    return _verified(H, spec, FactorDecomposition(tuple(copies)))
 
 
 def partition_multiplicity_bound(n: int, t: int) -> int:

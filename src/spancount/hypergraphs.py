@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, FrozenSet, Iterable, Iterator, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from .errors import InvalidQueryError
 
@@ -125,41 +125,30 @@ class Hypergraph:
                 count += 1
         return count
 
-    def min_d_degree(self, d: int) -> int:
-        """Minimum of d_H(S) over all d-subsets S; d = k-1 is the codegree."""
+    def min_d_degree(self, d: int, within: Optional[Iterable[int]] = None) -> int:
+        """Minimum of d_H(S) over all d-subsets S; d = k-1 is the codegree.
+
+        With `within`, the minimum of d_{H[within]}(S) over the d-subsets S
+        of `within`: only edges inside `within` count."""
         if not 1 <= d <= self.k - 1:
             raise InvalidQueryError(f"d = {d} must satisfy 1 <= d <= k-1 = {self.k - 1}")
+        inside = frozenset(range(self.n) if within is None else within)
+        if any(v < 0 or v >= self.n for v in inside):
+            raise InvalidQueryError("within must be a subset of the vertex set")
+        if len(inside) < d:
+            raise InvalidQueryError(f"no {d}-subsets among {len(inside)} vertices")
         hits: Dict[Edge, int] = {}
         for e in self._edges:
-            for s in itertools.combinations(e, d):
-                hits[s] = hits.get(s, 0) + 1
-        if len(hits) < comb(self.n, d):
+            if inside.issuperset(e):
+                for s in itertools.combinations(e, d):
+                    hits[s] = hits.get(s, 0) + 1
+        if len(hits) < comb(len(inside), d):
             return 0
         return min(hits.values())
 
     def min_codegree(self) -> int:
         """delta(H), the minimum (k-1)-degree."""
         return self.min_d_degree(self.k - 1)
-
-    # -- induced subgraphs ----------------------------------------------
-
-    def induced(self, S: Iterable[int]) -> "InducedSubgraph":
-        """H[S], relabelled to 0..|S|-1, with the relabelling retained."""
-        glob = tuple(sorted(set(S)))
-        if glob and (glob[0] < 0 or glob[-1] >= self.n):
-            raise InvalidQueryError("S must be a subset of the vertex set")
-        to_local = {v: i for i, v in enumerate(glob)}
-        sset = set(glob)
-        edges = [
-            tuple(to_local[v] for v in e)
-            for e in self._edges
-            if sset.issuperset(e)
-        ]
-        return InducedSubgraph(
-            graph=Hypergraph(len(glob), self.k, edges),
-            to_global=glob,
-            to_local=to_local,
-        )
 
     # -- serialization ---------------------------------------------------
 
@@ -207,23 +196,6 @@ def mask_vertices(m: int) -> Iterator[int]:
         low = m & -m
         yield low.bit_length() - 1
         m ^= low
-
-
-@dataclass(frozen=True)
-class InducedSubgraph:
-    """An induced subgraph together with its relabelling maps.
-
-    `to_global[i]` is the original label of local vertex i; `to_local`
-    inverts it.  Keeping the maps explicit lets stitched structures be
-    mapped back to global labels.
-    """
-
-    graph: Hypergraph
-    to_global: Tuple[int, ...]
-    to_local: Dict[int, int]
-
-    def globalize(self, local_vertices: Iterable[int]) -> Tuple[int, ...]:
-        return tuple(self.to_global[v] for v in local_vertices)
 
 
 @dataclass(frozen=True)

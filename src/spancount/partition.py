@@ -365,12 +365,11 @@ def check_good_factor(
     violations: List[Tuple[int, Tuple[int, ...]]] = []
     min_ratio: Optional[Fraction] = None
     for i, block in enumerate(P.blocks):
-        sub = H.induced(block)
         ni = len(block)
         denom = comb(ni, H.k - d)
         if denom == 0:
             continue
-        deg = sub.graph.min_d_degree(d) if ni >= d else 0
+        deg = H.min_d_degree(d, within=block) if ni >= d else 0
         ratio = Fraction(deg, denom)
         if min_ratio is None or ratio < min_ratio:
             min_ratio = ratio

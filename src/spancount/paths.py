@@ -2,9 +2,12 @@
 
 An ell-path on vertices v_1..v_t has edges given by the consecutive
 k-windows at stride k-ell, so consecutive edges share exactly ell
-vertices; an ell-cycle wraps the windows cyclically.  The solvers here
-all run one ordered-window search with explicit node budgets: a
-partial result never masquerades as an exact one.
+vertices; an ell-cycle wraps the windows cyclically.  That window
+layout is defined once (`_windows`).  The solvers here all run one
+ordered-window search, which fills positions in order so that every
+window of a given layout spans an edge; it takes any layout, so the
+F-factor code finds copies of F with it too.  Searches carry explicit
+node budgets: a partial result never masquerades as an exact one.
 
 Hamilton ell-cycles are counted as sub-hypergraphs (distinct edge
 sets), not orderings; rotations, reflections and small-n coincidences
@@ -53,9 +56,9 @@ class EllPath:
             )
 
     def windows(self) -> List[Tuple[int, ...]]:
-        gap = self.k - self.ell
-        t = len(self.order)
-        return [self.order[i:i + self.k] for i in range(0, t - self.k + 1, gap)]
+        layout = _windows(self.k, self.k - self.ell, len(self.order), False)
+        # a linear window is a run of k positions, so it is a slice
+        return [self.order[w[0]:w[0] + self.k] for w in layout]
 
     def ends(self) -> "EndPair":
         return EndPair(self.order[:self.ell], self.order[-self.ell:] if self.ell else ())
@@ -85,12 +88,8 @@ class EllCycle:
             raise InvalidStructureError(f"(k-ell)={gap} must divide the cycle length {t}")
 
     def windows(self) -> List[Tuple[int, ...]]:
-        gap = self.k - self.ell
-        t = len(self.order)
-        out = []
-        for start in range(0, t, gap):
-            out.append(tuple(self.order[(start + i) % t] for i in range(self.k)))
-        return out
+        layout = _windows(self.k, self.k - self.ell, len(self.order), True)
+        return [tuple(self.order[q] for q in w) for w in layout]
 
     def edge_set(self) -> frozenset:
         return frozenset(tuple(sorted(w)) for w in self.windows())
@@ -160,10 +159,8 @@ def validate_power_cycle(H: Hypergraph, C: PowerCycle) -> bool:
         raise InvalidStructureError(f"cycle uniformity {C.k} != host uniformity {H.k}")
     if any(v < 0 or v >= H.n for v in C.order):
         raise InvalidStructureError("cycle visits vertices outside the host")
-    n = len(C.order)
-    for start in range(n):
-        window = [C.order[(start + i) % n] for i in range(C.t)]
-        for sub in itertools.combinations(sorted(window), H.k):
+    for w in _windows(C.t, 1, len(C.order), True):
+        for sub in itertools.combinations(sorted(C.order[q] for q in w), H.k):
             if not H.has_edge(sub):
                 return False
     return True
@@ -187,40 +184,49 @@ class _Budget:
                 raise BudgetExceededError("search budget exhausted; result invalid")
 
 
+Layout = Tuple[Tuple[int, ...], ...]
+
+
 @functools.lru_cache(maxsize=256)
-def _window_layout(k: int, gap: int, length: int, cyclic: bool):
-    """The k-windows at stride `gap` over `length` positions, as position
-    tuples, and for each position the other positions of every window
-    that it is the last to fill."""
+def _windows(k: int, gap: int, length: int, cyclic: bool) -> Layout:
+    """The ell-window layout: the k-windows at stride `gap` = k-ell over
+    `length` positions, wrapping around if `cyclic`, as position tuples."""
     starts = range(0, length, gap) if cyclic else range(0, length - k + 1, gap)
-    windows = tuple(tuple((s + i) % length for i in range(k)) for s in starts)
+    return tuple(tuple((s + i) % length for i in range(k)) for s in starts)
+
+
+@functools.lru_cache(maxsize=256)
+def _closing(windows: Layout, length: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """For each of `length` positions, the other positions of every window
+    that it is the last to fill."""
     closing: List[list] = [[] for _ in range(length)]
     for w in windows:
         last = max(w)
         closing[last].append(tuple(q for q in w if q != last))
-    return windows, tuple(tuple(c) for c in closing)
+    return tuple(tuple(c) for c in closing)
 
 
 def _ordered_search(
     H: Hypergraph,
-    ell: int,
+    windows: Layout,
     length: int,
     pool: Iterable[int],
-    budget: _Budget,
+    budget: Optional[_Budget],
     prefix: Sequence[int] = (),
     pinned: Optional[Dict[int, int]] = None,
-    cyclic: bool = False,
 ) -> Iterator[Tuple[int, ...]]:
-    """Yield every ordering of `length` vertices whose k-windows at stride
-    k-ell (wrapping around if `cyclic`) are all edges of H.
+    """Yield every ordering of `length` vertices in which each window of
+    the layout `windows` (position tuples, each of k positions) is an
+    edge of H.
 
     Positions after `prefix` are filled in order.  A position in `pinned`
     takes its given vertex; any other takes the free vertices of `pool`
     in ascending order.  Either way the vertex must complete each window
     that closes there, so the candidate bitmask is cut down to those
-    windows' codegree masks.  Entering a position spends one budget node.
+    windows' codegree masks.  With a budget, entering a position spends
+    one node.
     """
-    _, closing = _window_layout(H.k, H.k - ell, length, cyclic)
+    closing = _closing(windows, length)
     pinned = pinned or {}
     order = list(prefix) + [-1] * (length - len(prefix))
     free = vertex_mask(pool) & ~vertex_mask(itertools.chain(prefix, pinned.values()))
@@ -231,7 +237,8 @@ def _ordered_search(
         if p == length:
             yield tuple(order)
             return
-        budget.spend()
+        if budget is not None:
+            budget.spend()
         forced = pinned.get(p)
         candidates = free if forced is None else 1 << forced
         for others in closing[p]:
@@ -254,10 +261,9 @@ def _cycle_orders(
     k-ell puts any cycle ordering in this form, so the roots are
     exhaustive."""
     pool = sorted(pool)
+    windows = _windows(H.k, H.k - ell, len(pool), True)
     for r0 in range(H.k - ell):
-        yield from _ordered_search(
-            H, ell, len(pool), pool, budget, pinned={r0: pool[0]}, cyclic=True
-        )
+        yield from _ordered_search(H, windows, len(pool), pool, budget, pinned={r0: pool[0]})
 
 
 def _search_path(
@@ -275,7 +281,8 @@ def _search_path(
     pinned to spell out b in order.
     """
     pinned = {total - ell + i: v for i, v in enumerate(b)}
-    return next(_ordered_search(H, ell, total, pool, budget, prefix=a, pinned=pinned), None)
+    windows = _windows(H.k, H.k - ell, total, False)
+    return next(_ordered_search(H, windows, total, pool, budget, prefix=a, pinned=pinned), None)
 
 
 def _search_cycle(
@@ -345,7 +352,7 @@ def enumerate_hamilton_ell_cycles(
     if n < k or not H.edges:
         return 0 if mode == "count" else []
 
-    windows, _ = _window_layout(k, gap, n, True)
+    windows = _windows(k, gap, n, True)
     found: dict = {}
     for order in _cycle_orders(H, ell, range(n), _Budget(budget)):
         edge_set = frozenset(tuple(sorted(order[q] for q in w)) for w in windows)

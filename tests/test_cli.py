@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from spancount import GoodnessSpec, complete, derive_seed, random_bisection, size_vector
+from spancount import (
+    EllCycle,
+    GoodnessSpec,
+    Hypergraph,
+    complete,
+    derive_seed,
+    random_bisection,
+    size_vector,
+)
 from spancount import cli
 from spancount.cli import _flatten, main
 
@@ -178,6 +186,43 @@ class TestExitCodes:
     def test_zero_trials_is_2(self, host):
         assert main(["stitch", "--input", host, "--ell", "2", "--m", "2", "--delta", "1/2",
                      "--gamma", "1/10", "--trials", "0"]) == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_2(self, host, workers):
+        assert main(["stitch", "--input", host, "--ell", "2", "--m", "2", "--delta", "1/2",
+                     "--gamma", "1/10", "--trials", "1", "--workers", workers]) == 2
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_is_2(self, tmp_path, limit):
+        k7 = tmp_path / "k7.txt"
+        assert main(["generate", "--family", "complete", "--n", "7", "--k", "3",
+                     "--out", str(k7)]) == 0
+        assert main(["absorb-classify", "--input", str(k7), "--ell", "2", "--t", "4",
+                     "--limit", limit]) == 2
+
+    def test_exact_count_of_a_power_beyond_k_is_2(self, tmp_path):
+        # a tight cycle has no 4-clique, so it holds no power with t = 4
+        tight = tmp_path / "c8.txt"
+        tight.write_text(Hypergraph(8, 3, EllCycle(range(8), 3, 2).windows()).to_edge_list())
+        argv = ["stitch", "--input", str(tight), "--m", "3", "--delta", "1/2",
+                "--gamma", "1/10", "--trials", "1", "--exact-count"]
+        assert main(argv + ["--t", "4"]) == 2
+        out = tmp_path / "r.json"
+        assert main(argv + ["--t", "3", "--out", str(out)]) == 0  # t = k: tight cycles
+        assert json.loads(out.read_text())["results"]["exact_count"] == 1
+
+    @pytest.mark.parametrize("command", ["generate", "partition", "verify"])
+    def test_budget_without_a_search_is_rejected(self, host, tmp_path, command):
+        argv = {
+            "generate": ["generate", "--family", "complete", "--n", "6", "--k", "3",
+                         "--out", str(tmp_path / "g.txt")],
+            "partition": ["partition", "--input", host, "--m", "2", "--delta", "1/2",
+                          "--gamma", "1/10", "--trials", "1"],
+            "verify": ["verify", "--input", host, "--structure", str(tmp_path / "s.json")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--budget", "1"])
+        assert exc.value.code == 2
 
 
 class TestStitchTrial:

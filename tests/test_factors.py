@@ -4,8 +4,10 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spancount import (
+    BudgetExceededError,
     DivisibilityError,
     FactorDecomposition,
     FactorSpec,
@@ -16,6 +18,7 @@ from spancount import (
     empty,
     factor_lower_bound,
     find_f_factor,
+    gen_random,
     matching_count_closed_form,
     matching_zero_cycle_relation,
     partition_multiplicity_bound,
@@ -25,6 +28,7 @@ from spancount import (
     stitch_factor,
     verify_decomposition,
 )
+from spancount.factors import _canonical_copies
 from spancount.hypergraphs import Hypergraph
 
 
@@ -34,6 +38,54 @@ def planted_blocks(n, k, t):
     for start in range(0, n, t):
         edges.extend(itertools.combinations(range(start, start + t), k))
     return Hypergraph(n, k, edges)
+
+
+def reference_copies(H, spec, available, anchor):
+    """Copies of F through `anchor` by brute force: every ordering of every
+    t-set of `available` plus the anchor, keeping the first, and so least,
+    injection per (vertex set, edge image)."""
+    found = {}
+    pool = [v for v in available if v != anchor]
+    for rest in itertools.combinations(pool, spec.t - 1):
+        vset = tuple(sorted((anchor,) + rest))
+        for perm in itertools.permutations(vset):
+            image = [tuple(sorted(perm[v] for v in e)) for e in spec.F.edges]
+            if all(H.has_edge(e) for e in image):
+                found.setdefault((vset, frozenset(image)), perm)
+    return sorted((found[key], key[1]) for key in found)
+
+
+def reference_stitch_factor(H, P, spec, budget):
+    """Per-block F-factors found on each block relabelled to 0..|V_i|-1 by
+    hand, mapped back and unioned; None if a block has none."""
+    copies = []
+    for block in P.blocks:
+        glob = sorted(block)
+        local = {v: i for i, v in enumerate(glob)}
+        sub = Hypergraph(len(glob), H.k, [[local[v] for v in e] for e in H.edges
+                                         if local.keys() >= set(e)])
+        dec = find_f_factor(sub, spec, budget)
+        if dec is None:
+            return None
+        copies.extend(tuple(glob[v] for v in c) for c in dec.copies)
+    return FactorDecomposition(tuple(copies))
+
+
+def outcome(f, *args):
+    """What a call returns, or the type of the error it raises."""
+    try:
+        return f(*args)
+    except (DivisibilityError, BudgetExceededError) as exc:
+        return type(exc)
+
+
+@st.composite
+def patterns(draw, k):
+    """A random k-graph F with t <= k+2 vertices and at least one edge."""
+    t = draw(st.integers(k, k + 2))
+    edges = draw(st.sets(st.sampled_from(list(itertools.combinations(range(t), k))),
+                         min_size=1))
+    return FactorSpec(Hypergraph(t, k, edges))
 
 
 class TestMatchingCounts:
@@ -90,6 +142,29 @@ class TestFactorSearch:
         with pytest.raises(InvalidQueryError):
             find_f_factor(complete(6, 3), single_edge_spec(2))
 
+    def test_budget_exhaustion_raises(self):
+        # a perfect matching of K_6^(3) spends a node at the root and one after its first edge
+        assert find_f_factor(complete(6, 3), single_edge_spec(3), budget=2) is not None
+        with pytest.raises(BudgetExceededError):
+            find_f_factor(complete(6, 3), single_edge_spec(3), budget=1)
+
+
+class TestCanonicalCopies:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_permutation_reference(self, data):
+        k = data.draw(st.integers(1, 3))
+        spec = data.draw(patterns(k))
+        n = data.draw(st.integers(spec.t, 9))
+        H = gen_random(n, k, data.draw(st.sampled_from([0.3, 0.6, 0.9, 1.0])),
+                       seed=data.draw(st.integers(0, 10 ** 6)))
+        available = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+        for anchor in range(n):
+            for pool in (available, range(anchor, n)):
+                assert _canonical_copies(H, spec, pool, anchor) == reference_copies(
+                    H, spec, pool, anchor
+                )
+
 
 class TestVerifyDecomposition:
     def test_rejects_overlap(self):
@@ -133,6 +208,31 @@ class TestStitchFactor:
         H2 = Hypergraph(12, 3, [e for e in H.edges if max(e) < 6])
         P = Partition((tuple(range(6)), tuple(range(6, 12))))
         assert stitch_factor(H2, P, single_edge_spec(3)) is None
+
+    @pytest.mark.parametrize("blocks", [
+        ((0, 1, 2), (3, 4, 5)),  # misses 6..8
+        ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)),  # beyond the host
+    ])
+    def test_partition_must_cover_the_host(self, blocks):
+        with pytest.raises(InvalidQueryError):
+            stitch_factor(complete(9, 3), Partition(blocks), single_edge_spec(3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_relabelled_blocks(self, data):
+        k = data.draw(st.integers(2, 3))
+        spec = data.draw(patterns(k).filter(lambda s: s.t <= k + 1))
+        n = spec.t * data.draw(st.integers(1, 10 // spec.t))
+        H = gen_random(n, k, data.draw(st.sampled_from([0.5, 0.8, 1.0])),
+                       seed=data.draw(st.integers(0, 10 ** 6)))
+        order = data.draw(st.permutations(range(n)))
+        step = data.draw(st.sampled_from([spec.t, spec.t, 1]))  # mostly blocks F can tile
+        cuts = sorted(c * step for c in data.draw(st.sets(st.integers(1, n), max_size=2))
+                      if c * step < n)
+        P = Partition(tuple(tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])))
+        budget = data.draw(st.sampled_from([None, 1, 2, 4, 12]))
+        want = outcome(reference_stitch_factor, H, P, spec, budget)
+        assert outcome(stitch_factor, H, P, spec, budget) == want
 
 
 class TestBounds:

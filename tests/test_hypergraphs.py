@@ -113,24 +113,12 @@ class TestDegrees:
             )
             assert H.min_d_degree(d) == ref
 
-
-class TestInduced:
-    def test_induced_globalize_roundtrip(self):
-        H = complete(7, 3)
-        sub = H.induced([1, 3, 5, 6])
-        assert sub.graph.n == 4
-        assert sub.graph.num_edges() == 4
-        assert sub.globalize((0, 1, 2)) == (1, 3, 5)
-
-    @settings(max_examples=30, deadline=None)
-    @given(random_hosts(), st.data())
-    def test_induced_edges_are_host_edges(self, H, data):
-        block = data.draw(
-            st.sets(st.integers(0, H.n - 1), min_size=H.k, max_size=H.n)
-        )
-        sub = H.induced(sorted(block))
-        for e in sub.graph.edges:
-            assert H.has_edge(sub.globalize(e))
+    def test_min_d_degree_within_must_hold_d_host_vertices(self):
+        H = complete(6, 3)
+        with pytest.raises(InvalidQueryError):
+            H.min_d_degree(1, within=[0, 6])
+        with pytest.raises(InvalidQueryError):
+            H.min_d_degree(2, within=[0])
 
 
 class TestSerialization:

@@ -228,6 +228,37 @@ class TestGoodness:
         assert report.good and report.min_ratio == Fraction(2, 3)
 
 
+class TestFactorGoodness:
+    """check_good_factor and min_d_degree(d, within) against per-block brute force."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_block_minimum(self, data):
+        k = data.draw(st.integers(2, 4))
+        n = data.draw(st.integers(k, 9))
+        H = gen_random(n, k, data.draw(st.sampled_from([0.3, 0.7, 1.0])),
+                       seed=data.draw(st.integers(0, 10 ** 6)))
+        order = data.draw(st.permutations(range(n)))
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=3)))
+        P = Partition(tuple(tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])))
+        d = data.draw(st.integers(1, k - 1))
+        mu = data.draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)]))
+        cap = data.draw(st.sampled_from([1, 50]))
+        violations, ratios = [], []
+        for i, block in enumerate(P.blocks):
+            inside = [e for e in H.edges if set(e) <= set(block)]
+            degrees = [sum(1 for e in inside if set(D) <= set(e)) for D in combinations(block, d)]
+            if degrees:
+                assert H.min_d_degree(d, within=block) == min(degrees)
+            denom = math.comb(len(block), k - d)
+            if denom:
+                ratios.append(Fraction(min(degrees, default=0), denom))
+                if ratios[-1] < mu and len(violations) < cap:
+                    violations.append((i, ()))
+        report = check_good_factor(H, P, d, mu, max_violations=cap)
+        assert report == GoodnessReport(not violations, violations, min(ratios, default=None))
+
+
 def _reference_degrees(H, blocks, i, block):
     """(U, d(U, block)) for U in blocks i-1, i and i+1, from H.degree."""
     r = len(blocks)
