@@ -73,9 +73,7 @@ from .paths import (
     EllPath,
     EndPair,
     PowerCycle,
-    clique_graph,
     enumerate_hamilton_ell_cycles,
-    find_clique,
     find_hamilton_ell_path,
     validate_ell_cycle,
     validate_ell_path,

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import InvalidQueryError, InvalidStructureError
-from .hypergraphs import Hypergraph
+from .hypergraphs import Hypergraph, vertex_mask
 from .paths import EllPath, _Budget, _ordered_search, _search_path, _windows, validate_ell_path
 
 
@@ -93,10 +93,10 @@ def classify_set(
             f"no ell-path has t_abs = {t} vertices: (k-ell) must divide t_abs - ell"
         )
     counter = _Budget(budget)
-    pool = [v for v in range(H.n) if v not in s]
+    allowed = (vertex_mask(range(H.n)) & ~vertex_mask(s),) * t
     absorb_cache: Dict[Tuple[frozenset, Tuple[int, ...], Tuple[int, ...]], bool] = {}
     count = 0
-    for order in _ordered_search(H, _windows(k, k - ell, t, False), t, pool, counter):
+    for order in _ordered_search(H, _windows(k, k - ell, t, False), t, allowed, counter):
         a, b = order[:ell], order[-ell:]
         key = (frozenset(order), a, b)
         hit = absorb_cache.get(key)

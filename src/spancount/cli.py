@@ -193,11 +193,10 @@ def _stitch_trial(payload) -> tuple:
     report = check_good(H, part, target, sizes=sv.sizes, max_violations=1)
     if not report.good:
         return (False, False, None)
-    stitch_seed = derive_seed(root_seed, "stitch", trial)
     if power_mode:
-        cert = stitch_power_cycle(H, part, param, node_budget=budget, seed=stitch_seed)
+        cert = stitch_power_cycle(H, part, param, node_budget=budget)
     else:
-        cert = stitch_cycle(H, part, param, node_budget=budget, seed=stitch_seed)
+        cert = stitch_cycle(H, part, param, node_budget=budget)
     return (True, cert is not None, cert.to_json() if cert is not None else None)
 
 
@@ -208,6 +207,7 @@ def cmd_stitch(args) -> Dict:
         power_mode or args.ell is not None,
         "stitch needs --ell (ell-cycles) or --t (powers of tight cycles)",
     )
+    _require(not power_mode or args.t >= H.k, f"--t must be >= k = {H.k}, got {args.t}")
     _require(args.trials >= 1, "--trials must be >= 1")
     _require(args.workers >= 1, "--workers must be >= 1")
     _require(

@@ -29,7 +29,7 @@ from .bounds import multinomial as _multinomial
 from .errors import DivisibilityError, InvalidQueryError
 from .hypergraphs import Hypergraph, complete
 from .partition import Partition, SizeVector
-from .paths import _Budget, _ordered_search
+from .paths import _Budget, _ordered_search, _pinned
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ def _canonical_copies(
     edges = tuple(sorted(spec.F.edges))
     least: Dict[Tuple[frozenset, frozenset], Tuple[int, ...]] = {}
     for i in range(spec.t):
-        pinned = {i: anchor}
-        for injection in _ordered_search(H, edges, spec.t, available, None, pinned=pinned):
+        allowed = _pinned(spec.t, available, i, anchor)
+        for injection in _ordered_search(H, edges, spec.t, allowed, None):
             image = frozenset(tuple(sorted(injection[v] for v in e)) for e in edges)
             key = (frozenset(injection), image)
             if key not in least or injection < least[key]:

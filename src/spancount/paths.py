@@ -3,11 +3,15 @@
 An ell-path on vertices v_1..v_t has edges given by the consecutive
 k-windows at stride k-ell, so consecutive edges share exactly ell
 vertices; an ell-cycle wraps the windows cyclically.  That window
-layout is defined once (`_windows`).  The solvers here all run one
+layout is defined once (`_windows`), and so is the layout of a power of
+a tight cycle (`_power_windows`).  The solvers here all run one
 ordered-window search, which fills positions in order so that every
-window of a given layout spans an edge; it takes any layout, so the
-F-factor code finds copies of F with it too.  Searches carry explicit
-node budgets: a partial result never masquerades as an exact one.
+window of a given layout spans an edge, each position drawing from its
+own allowed vertex mask; it takes any layout, so the F-factor code
+finds copies of F with it too, and the partition-respecting search
+confines each position to the block whose arc covers it.  Searches
+carry explicit node budgets: a partial result never masquerades as an
+exact one.
 
 Hamilton ell-cycles are counted as sub-hypergraphs (distinct edge
 sets), not orderings; rotations, reflections and small-n coincidences
@@ -19,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, DivisibilityError, InvalidQueryError, InvalidStructureError
 from .hypergraphs import Hypergraph, mask_vertices, vertex_mask
@@ -159,11 +163,8 @@ def validate_power_cycle(H: Hypergraph, C: PowerCycle) -> bool:
         raise InvalidStructureError(f"cycle uniformity {C.k} != host uniformity {H.k}")
     if any(v < 0 or v >= H.n for v in C.order):
         raise InvalidStructureError("cycle visits vertices outside the host")
-    for w in _windows(C.t, 1, len(C.order), True):
-        for sub in itertools.combinations(sorted(C.order[q] for q in w), H.k):
-            if not H.has_edge(sub):
-                return False
-    return True
+    layout = _power_windows(H.k, C.t, len(C.order))
+    return all(H.has_edge(C.order[q] for q in w) for w in layout)
 
 
 # -- the ordered-window search -------------------------------------------
@@ -196,6 +197,15 @@ def _windows(k: int, gap: int, length: int, cyclic: bool) -> Layout:
 
 
 @functools.lru_cache(maxsize=256)
+def _power_windows(k: int, t: int, length: int) -> Layout:
+    """The layout of a power of a tight cycle: every k-subset of every
+    cyclic t-window over `length` positions, once each."""
+    return tuple(sorted({
+        sub for w in _windows(t, 1, length, True) for sub in itertools.combinations(sorted(w), k)
+    }))
+
+
+@functools.lru_cache(maxsize=256)
 def _closing(windows: Layout, length: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
     """For each of `length` positions, the other positions of every window
     that it is the last to fill."""
@@ -210,26 +220,24 @@ def _ordered_search(
     H: Hypergraph,
     windows: Layout,
     length: int,
-    pool: Iterable[int],
+    allowed: Sequence[int],
     budget: Optional[_Budget],
     prefix: Sequence[int] = (),
-    pinned: Optional[Dict[int, int]] = None,
 ) -> Iterator[Tuple[int, ...]]:
     """Yield every ordering of `length` vertices in which each window of
     the layout `windows` (position tuples, each of k positions) is an
     edge of H.
 
-    Positions after `prefix` are filled in order.  A position in `pinned`
-    takes its given vertex; any other takes the free vertices of `pool`
-    in ascending order.  Either way the vertex must complete each window
-    that closes there, so the candidate bitmask is cut down to those
-    windows' codegree masks.  With a budget, entering a position spends
-    one node.
+    Positions after `prefix` are filled in order.  Position p takes the
+    vertices of the bitmask `allowed[p]` that are not yet placed, in
+    ascending order; a one-bit mask pins p to its vertex.  The vertex
+    must complete each window that closes there, so the candidate
+    bitmask is cut down to those windows' codegree masks.  With a
+    budget, entering a position spends one node.
     """
     closing = _closing(windows, length)
-    pinned = pinned or {}
     order = list(prefix) + [-1] * (length - len(prefix))
-    free = vertex_mask(pool) & ~vertex_mask(itertools.chain(prefix, pinned.values()))
+    free = ((1 << H.n) - 1) & ~vertex_mask(prefix)
     nbrs = H._codegree_neighbours()
 
     def place(p: int) -> Iterator[Tuple[int, ...]]:
@@ -239,18 +247,24 @@ def _ordered_search(
             return
         if budget is not None:
             budget.spend()
-        forced = pinned.get(p)
-        candidates = free if forced is None else 1 << forced
+        candidates = free & allowed[p]
         for others in closing[p]:
             candidates &= nbrs.get(tuple(sorted([order[q] for q in others])), 0)
         for v in mask_vertices(candidates):
             order[p] = v
             free &= ~(1 << v)
             yield from place(p + 1)
-            if forced is None:
-                free |= 1 << v
+            free |= 1 << v
 
     return place(len(prefix))
+
+
+def _pinned(length: int, pool: Iterable[int], p: int, v: int) -> List[int]:
+    """Per-position masks for `_ordered_search`: position p takes only
+    v, every other position the vertices of `pool` other than v."""
+    masks = [vertex_mask(pool) & ~(1 << v)] * length
+    masks[p] = 1 << v
+    return masks
 
 
 def _cycle_orders(
@@ -263,7 +277,8 @@ def _cycle_orders(
     pool = sorted(pool)
     windows = _windows(H.k, H.k - ell, len(pool), True)
     for r0 in range(H.k - ell):
-        yield from _ordered_search(H, windows, len(pool), pool, budget, pinned={r0: pool[0]})
+        allowed = _pinned(len(pool), pool, r0, pool[0])
+        yield from _ordered_search(H, windows, len(pool), allowed, budget)
 
 
 def _search_path(
@@ -280,22 +295,34 @@ def _search_path(
     Interior vertices are drawn from `pool`; the last ell positions are
     pinned to spell out b in order.
     """
-    pinned = {total - ell + i: v for i, v in enumerate(b)}
+    allowed = [vertex_mask(pool) & ~vertex_mask(b)] * (total - ell) + [1 << v for v in b]
     windows = _windows(H.k, H.k - ell, total, False)
-    return next(_ordered_search(H, windows, total, pool, budget, prefix=a, pinned=pinned), None)
+    return next(_ordered_search(H, windows, total, allowed, budget, prefix=a), None)
 
 
 def _search_cycle(
     H: Hypergraph,
-    ell: int,
-    pool: Sequence[int],
+    blocks: Sequence[Sequence[int]],
+    windows: Layout,
+    phases: int,
     budget: _Budget,
 ) -> Optional[Tuple[int, ...]]:
-    """First Hamilton ell-cycle ordering of `pool`, or None."""
-    n, gap = len(pool), H.k - ell
-    if n % gap != 0 or n < H.k:
-        raise DivisibilityError(f"(k-ell)={gap} must divide the cycle length {n}")
-    return next(_cycle_orders(H, ell, pool, budget), None)
+    """First cyclic ordering in which the blocks fill consecutive arcs,
+    in the given order from position 0, and every window of the cyclic
+    layout `windows`, shifted by some phase r0 < `phases`, is an edge.
+
+    The phases are tried in order and share the budget.  A found order
+    is rotated by r0, so that its windows are those of `windows`; None
+    means that no such ordering exists.
+    """
+    arcs = tuple(vertex_mask(block) for block in blocks for _ in block)
+    n = len(arcs)
+    for r0 in range(phases):
+        shifted = tuple(tuple((q + r0) % n for q in w) for w in windows)
+        order = next(_ordered_search(H, shifted, n, arcs, budget), None)
+        if order is not None:
+            return order[r0:] + order[:r0]
+    return None
 
 
 # -- Hamilton path / cycle solvers ---------------------------------------
@@ -360,60 +387,3 @@ def enumerate_hamilton_ell_cycles(
     if mode == "count":
         return len(found)
     return [EllCycle(o, k, ell) for o in found.values()]
-
-
-# -- cliques ---------------------------------------------------------------
-
-
-def _cliques(
-    H: Hypergraph,
-    size: int,
-    within: Optional[Iterable[int]] = None,
-    budget: Optional[_Budget] = None,
-) -> Iterator[Tuple[int, ...]]:
-    """Yield every `size`-set of vertices of `within` (default: all of H)
-    that spans a k-uniform clique of H, in lexicographic order.
-
-    Choosing a vertex cuts the later candidates' bitmask down to the
-    codegree masks of the (k-1)-sets it completes.  With a budget,
-    entering a partial clique spends one node.
-    """
-    k = H.k
-    nbrs = H._codegree_neighbours()
-    pool = vertex_mask(range(H.n) if within is None else within)
-    if k == 1:  # every vertex of a 1-uniform clique is itself an edge
-        pool &= nbrs.get((), 0)
-    chosen: List[int] = []
-
-    def extend(candidates: int) -> Iterator[Tuple[int, ...]]:
-        if len(chosen) == size:
-            yield tuple(chosen)
-            return
-        if budget is not None:
-            budget.spend()
-        for v in mask_vertices(candidates):
-            rest = candidates >> (v + 1) << (v + 1)  # the candidates above v
-            # v completes the (k-1)-sets sub + v, sub a (k-2)-subset of chosen;
-            # chosen is ascending and below v, so sub + v is sorted
-            for sub in itertools.combinations(chosen, k - 2) if k > 1 else ():
-                rest &= nbrs.get(sub + (v,), 0)
-            chosen.append(v)
-            yield from extend(rest)
-            chosen.pop()
-
-    return extend(pool)
-
-
-def clique_graph(H: Hypergraph, t: int, within: Optional[Iterable[int]] = None) -> Hypergraph:
-    """K_t(H): the t-graph on H's vertices whose edges are the t-sets
-    spanning k-cliques of H; only those inside `within` if it is given."""
-    if t < H.k:
-        raise InvalidQueryError(f"clique size t={t} must be >= k={H.k}")
-    return Hypergraph(H.n, t, _cliques(H, t, within))
-
-
-def find_clique(H: Hypergraph, t: int, budget: Optional[int] = None) -> Optional[Tuple[int, ...]]:
-    """The lexicographically first t-set spanning a k-uniform clique of H, or None."""
-    if t < H.k:
-        raise InvalidQueryError(f"clique size t={t} must be >= k={H.k}")
-    return next(_cliques(H, t, budget=_Budget(budget)), None)

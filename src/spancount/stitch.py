@@ -1,14 +1,15 @@
 """Assembling partition-respecting Hamilton structures.
 
-Given a good partition (V_1, ..., V_r), pick a junction tuple v_i in
-each block, solve each H[V_i + previous junction] for a Hamilton
-ell-path between consecutive junctions, and concatenate
-L_1 v_1 L_2 v_2 ... L_r v_r into a Hamilton ell-cycle whose blocks
-occupy consecutive arcs.  A power of a tight cycle is the same
-construction with ell = t-1 in the t-clique graph.  Junction tuples
-are retried under a budget: the asymptotic guarantees that make
-arbitrary junctions work do not hold at desk scale, so failed
-per-block solves trigger reselection.
+A cycle respects an ordered partition (V_1, ..., V_r) when its blocks
+occupy consecutive arcs in cyclic block order.  One exact search
+decides whether such a cycle exists: it lays the positions out as the
+arcs V_1 ... V_r in order and confines each position to its arc's
+block, then fills the positions so that every window of the structure
+is an edge.  An ell-cycle's window layout is tried at each of its k-ell
+phases; a power of a tight cycle uses every k-subset of every cyclic
+t-window, in one phase.  The forward direction is enough, since
+reversing either structure gives another one of the same kind.  So a
+stitcher returning None means that no P-respecting structure exists.
 
 Every returned certificate is validated before it leaves this module.
 """
@@ -16,10 +17,9 @@ Every returned certificate is validated before it leaves this module.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .bounds import RationalBracket, exp_neg_bracket, multinomial
 from .errors import DivisibilityError, InvalidQueryError
@@ -29,10 +29,9 @@ from .paths import (
     EllCycle,
     PowerCycle,
     _Budget,
-    _cliques,
+    _power_windows,
     _search_cycle,
-    _search_path,
-    clique_graph,
+    _windows,
     validate_ell_cycle,
     validate_power_cycle,
 )
@@ -40,12 +39,10 @@ from .paths import (
 
 @dataclass(frozen=True)
 class RespectingCertificate:
-    """A partition-respecting cycle plus the junctions that built it."""
+    """A cycle ordering that respects its partition."""
 
     order: Tuple[int, ...]
     partition: Partition
-    junctions: Tuple[Tuple[int, ...], ...]
-    segments: Tuple[Tuple[int, ...], ...]
     kind: str  # "ell-cycle" or "power-cycle"
     k: int
     param: int  # ell for ell-cycles, window width t for power cycles
@@ -68,7 +65,6 @@ class RespectingCertificate:
                 "param": self.param,
                 "order": list(self.order),
                 "blocks": [list(b) for b in self.partition.blocks],
-                "junctions": [list(j) for j in self.junctions],
             }
         )
 
@@ -79,6 +75,10 @@ def is_respecting(C, P: Partition) -> bool:
 
     C may be any object with a cyclic `.order` tuple (EllCycle,
     PowerCycle, or a certificate view); only the ordering matters.
+    This judges one vertex ordering, not a cycle's edge set: when
+    k - 2*ell >= 2, one cycle has orderings that are not rotations or
+    reflections of each other, and they can respect different
+    partitions (see `respecting_multiplicity`).
     """
     if set(C.order) != set(P.vertex_set()):
         raise InvalidQueryError("cycle must span exactly the partition's vertices")
@@ -111,7 +111,14 @@ def _is_cyclic_shift_of_range(runs: Sequence[int], r: int) -> bool:
 
 def respecting_multiplicity(C: EllCycle, sv) -> int:
     """Exact number of ordered partitions with the given block sizes
-    that C respects, over both directions and all rotations."""
+    that the ordering C.order respects, over both directions and all
+    rotations.
+
+    This counts for one vertex ordering, not for a cycle's edge set.
+    `EllCycle(range(9), 4, 1)` with sizes (6, 3) respects 9 ordered
+    partitions, but the same edge set has 48 orderings, and together
+    they respect 18.
+    """
     sizes = tuple(sv.sizes) if isinstance(sv, SizeVector) else tuple(sv)
     n = len(C.order)
     if sum(sizes) != n:
@@ -129,22 +136,22 @@ def respecting_multiplicity(C: EllCycle, sv) -> int:
     return len(seen)
 
 
-# -- the stitch loop ------------------------------------------------------
+# -- the respecting search ------------------------------------------------
 
 
 def stitch_cycle(
     H: Hypergraph,
     P: Partition,
     ell: int,
-    junction_budget: int = 20,
     node_budget: Optional[int] = None,
     seed: int = 0,
 ) -> Optional[RespectingCertificate]:
-    """Build a P-respecting Hamilton ell-cycle, or None.
+    """A P-respecting Hamilton ell-cycle on P's vertices, or None if
+    none exists.
 
-    Each attempt samples one junction ell-tuple per block, solves every
-    H[V_i + previous junction] for a Hamilton ell-path between the
-    junctions, and concatenates.  Up to `junction_budget` attempts.
+    The search is exact and deterministic; `seed` is accepted for
+    compatibility and ignored.  `node_budget` bounds the search over all
+    phases together; BudgetExceededError is raised when it runs out.
     """
     k = H.k
     if not 1 <= ell < k:
@@ -155,124 +162,46 @@ def stitch_cycle(
             raise DivisibilityError(
                 f"(k-ell)={gap} must divide every block size, got {len(block)}"
             )
-        if len(block) < 2 * ell + gap:
-            raise InvalidQueryError(
-                f"block of size {len(block)} too small for junctions (need >= {2 * ell + gap})"
-            )
-
-    def sample_junctions(rng: random.Random) -> List[Tuple[int, ...]]:
-        return [tuple(rng.sample(block, ell)) for block in P.blocks]
-
-    found = _stitch(P, ell, gap, lambda pool: H, sample_junctions,
-                    junction_budget, node_budget, seed)
-    return _certified(H, P, "ell-cycle", ell, found)
+    n = _span(P, k)
+    order = _search_cycle(H, P.blocks, _windows(k, gap, n, True), gap, _Budget(node_budget))
+    return _certified(H, P, "ell-cycle", ell, order)
 
 
 def stitch_power_cycle(
     H: Hypergraph,
     P: Partition,
     t: int,
-    junction_budget: int = 20,
     node_budget: Optional[int] = None,
-    seed: int = 0,
 ) -> Optional[RespectingCertificate]:
-    """Build a P-respecting (t-k+1)th power of a Hamilton tight cycle.
-
-    This is a Hamilton (t-1)-cycle of the t-clique graph, stitched like
-    an ell-cycle: junctions are (t-1)-cliques found inside each block,
-    and per-block solves are Hamilton tight paths in the t-clique graph
-    of V_i + previous junction.
-    """
+    """A P-respecting (t-k+1)th power of a Hamilton tight cycle on P's
+    vertices (every cyclic t-window spans a k-uniform clique of H), or
+    None if none exists.  BudgetExceededError is raised when the search
+    spends more than `node_budget` nodes."""
     if t < H.k:
         raise InvalidQueryError(f"window width t={t} must be >= k={H.k}")
-    for block in P.blocks:
-        if len(block) < 2 * (t - 1) + 1:
-            raise InvalidQueryError(
-                f"block of size {len(block)} too small to host (t-1)-clique junctions"
-            )
-
-    def sample_junctions(rng: random.Random) -> Optional[List[Tuple[int, ...]]]:
-        junctions = []
-        for block in P.blocks:
-            cliques = _all_cliques(H, t - 1, block)
-            if not cliques:
-                return None
-            junctions.append(rng.choice(cliques))
-        return junctions
-
-    found = _stitch(P, t - 1, 1, lambda pool: clique_graph(H, t, pool), sample_junctions,
-                    junction_budget, node_budget, seed)
-    return _certified(H, P, "power-cycle", t, found)
+    n = _span(P, t)
+    order = _search_cycle(H, P.blocks, _power_windows(H.k, t, n), 1, _Budget(node_budget))
+    return _certified(H, P, "power-cycle", t, order)
 
 
-def _stitch(
-    P: Partition,
-    ell: int,
-    gap: int,
-    host_for: Callable[[Sequence[int]], Hypergraph],
-    sample_junctions: Callable[[random.Random], Optional[List[Tuple[int, ...]]]],
-    junction_budget: int,
-    node_budget: Optional[int],
-    seed: int,
-) -> Optional[Tuple[Tuple[int, ...], tuple, tuple]]:
-    """(cycle order, junctions, segments) of an ell-cycle that respects P
-    in the hosts `host_for(pool)`, whose edges have ell + gap vertices;
-    None if every attempt fails or a block has no junction."""
-    rng = random.Random(seed)
-    if P.r == 1:
-        # single block: no junctions to stitch, solve the cycle directly
-        block = P.blocks[0]
-        order = _search_cycle(host_for(block), ell, block, _Budget(node_budget))
-        if order is None:
-            return None
-        return order, (order[-ell:],), (order[:-ell],)
-    for _ in range(junction_budget):
-        junctions = sample_junctions(rng)
-        if junctions is None:
-            return None
-        segments = _solve_blocks(host_for, P, junctions, ell, node_budget)
-        if segments is None:
-            continue
-        order = tuple(v for seg, j in zip(segments, junctions) for v in seg + j)
-        # block path i's windows start at junction i-1, so the cycle's windows
-        # start ell places before L_1; rotate that phase to position 0
-        shift = (-ell) % gap
-        return order[shift:] + order[:shift], tuple(junctions), tuple(segments)
-    return None
-
-
-def _solve_blocks(
-    host_for: Callable[[Sequence[int]], Hypergraph],
-    P: Partition,
-    junctions: Sequence[Tuple[int, ...]],
-    ell: int,
-    node_budget: Optional[int],
-) -> Optional[List[Tuple[int, ...]]]:
-    """Per-block Hamilton ell-paths from the previous junction to this
-    block's junction; returns the interior segments L_i, or None."""
-    segments = []
-    for i, block in enumerate(P.blocks):
-        prev = junctions[i - 1]
-        pool = sorted(set(block) | set(prev))
-        total = len(pool)
-        order = _search_path(
-            host_for(pool), ell, prev, junctions[i], total, pool, _Budget(node_budget)
+def _span(P: Partition, least: int) -> int:
+    """The number of vertices of P, which a cycle needs to be at least
+    `least`; every block must be nonempty to occupy an arc."""
+    n = sum(P.sizes())
+    if n < least or not all(P.blocks):
+        raise InvalidQueryError(
+            f"need nonempty blocks and at least {least} vertices, got sizes {P.sizes()}"
         )
-        if order is None:
-            return None
-        # strip the shared end tuples: the cycle gets L_i + v_i per block
-        segments.append(order[ell:total - ell])
-    return segments
+    return n
 
 
 def _certified(
-    H: Hypergraph, P: Partition, kind: str, param: int, found
+    H: Hypergraph, P: Partition, kind: str, param: int, order: Optional[Tuple[int, ...]]
 ) -> Optional[RespectingCertificate]:
-    """The certificate of a stitched order, validated against H and P."""
-    if found is None:
+    """The certificate of a found order, validated against H and P."""
+    if order is None:
         return None
-    order, junctions, segments = found
-    cert = RespectingCertificate(order, P, junctions, segments, kind, H.k, param)
+    cert = RespectingCertificate(order, P, kind, H.k, param)
     if kind == "ell-cycle":
         structure, valid = cert.cycle(), validate_ell_cycle
     else:
@@ -280,11 +209,6 @@ def _certified(
     if not valid(H, structure) or not is_respecting(structure, P):
         raise AssertionError(f"stitched {kind} failed validation; construction bug")
     return cert
-
-
-def _all_cliques(H: Hypergraph, size: int, within: Sequence[int]) -> List[Tuple[int, ...]]:
-    """All `size`-sets of `within` spanning k-uniform cliques of H, lexicographic."""
-    return list(_cliques(H, size, within))
 
 
 # -- counting lower bound ------------------------------------------------

@@ -211,6 +211,26 @@ class TestExitCodes:
         assert main(argv + ["--t", "3", "--out", str(out)]) == 0  # t = k: tight cycles
         assert json.loads(out.read_text())["results"]["exact_count"] == 1
 
+    def test_stitch_budget_exhaustion_is_3(self, tmp_path):
+        k24 = tmp_path / "k24.txt"
+        assert main(["generate", "--family", "complete", "--n", "24", "--k", "3",
+                     "--out", str(k24)]) == 0
+        argv = ["stitch", "--input", str(k24), "--ell", "1", "--m", "6", "--delta", "1/2",
+                "--gamma", "1/10", "--trials", "2"]
+        assert main(argv + ["--budget", "23"]) == 3  # 24 positions, one node each
+        assert main(argv + ["--budget", "24"]) == 0
+
+    def test_power_below_k_is_2_on_every_host(self, tmp_path):
+        # rejected at the parse boundary, whether or not a trial is good
+        tight = tmp_path / "c8.txt"
+        tight.write_text(Hypergraph(8, 3, EllCycle(range(8), 3, 2).windows()).to_edge_list())
+        k24 = tmp_path / "k24.txt"
+        assert main(["generate", "--family", "complete", "--n", "24", "--k", "3",
+                     "--out", str(k24)]) == 0
+        for hostfile in (tight, k24):
+            assert main(["stitch", "--input", str(hostfile), "--t", "2", "--m", "3",
+                         "--delta", "1/2", "--gamma", "1/10", "--trials", "1"]) == 2
+
     @pytest.mark.parametrize("command", ["generate", "partition", "verify"])
     def test_budget_without_a_search_is_rejected(self, host, tmp_path, command):
         argv = {

@@ -1,6 +1,5 @@
 """Path/cycle structures, validators, and exact solvers against oracles."""
 
-import itertools
 import math
 
 import pytest
@@ -14,11 +13,9 @@ from spancount import (
     EndPair,
     InvalidStructureError,
     PowerCycle,
-    clique_graph,
     complete,
     empty,
     enumerate_hamilton_ell_cycles,
-    find_clique,
     find_hamilton_ell_path,
     gen_random,
     validate_ell_cycle,
@@ -160,33 +157,3 @@ class TestEnumeration:
     def test_divisibility(self):
         with pytest.raises(DivisibilityError):
             enumerate_hamilton_ell_cycles(complete(7, 3), 1)
-
-
-class TestCliques:
-    def test_clique_graph_complete(self):
-        K = clique_graph(complete(6, 2), 4)
-        assert K.num_edges() == 15  # C(6,4)
-
-    def test_clique_graph_monotone(self):
-        H = gen_random(8, 2, 0.7, seed=3)
-        K3 = clique_graph(H, 3)
-        for e in clique_graph(H, 4).edges:
-            for sub in itertools.combinations(e, 3):
-                assert K3.has_edge(sub)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 3), st.integers(0, 2), st.randoms(use_true_random=False))
-    def test_clique_graph_matches_brute_force(self, k, extra, rnd):
-        H = gen_random(8, k, 0.7, seed=rnd.randrange(10 ** 6))
-        within = sorted(rnd.sample(range(8), rnd.randrange(9)))
-        t = k + extra
-        expected = {
-            s for s in itertools.combinations(within, t)
-            if all(H.has_edge(sub) for sub in itertools.combinations(s, k))
-        }
-        assert clique_graph(H, t, within).edges == expected
-
-    def test_find_clique(self):
-        assert find_clique(complete(7, 2), 5) == (0, 1, 2, 3, 4)
-        C6 = Hypergraph(6, 2, EllCycle(tuple(range(6)), 2, 1).edge_set())
-        assert find_clique(C6, 3) is None

@@ -1,5 +1,6 @@
 """Partition-respecting predicates and stitched cycle construction."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from spancount import (
     GoodnessSpec,
     InvalidQueryError,
     Partition,
+    PowerCycle,
     complete,
     enumerate_hamilton_ell_cycles,
     gen_random,
@@ -93,7 +95,7 @@ class TestStitchCycle:
     def test_complete_host(self):
         H = complete(24, 3)
         P = Partition(tuple(tuple(range(i, i + 12)) for i in range(0, 24, 12)))
-        cert = stitch_cycle(H, P, 1, seed=5)
+        cert = stitch_cycle(H, P, 1)
         assert cert is not None
         cycle = cert.cycle()
         assert validate_ell_cycle(H, cycle)
@@ -102,16 +104,26 @@ class TestStitchCycle:
 
     def test_single_block_partition(self):
         H = complete(12, 3)
-        cert = stitch_cycle(H, Partition((tuple(range(12)),)), 1, seed=0)
+        cert = stitch_cycle(H, Partition((tuple(range(12)),)), 1)
         assert cert is not None and validate_ell_cycle(H, cert.cycle())
 
     def test_tight_cycle_on_dense_random(self):
         H = gen_random(20, 3, 0.9, seed=2)
         P = Partition((tuple(range(10)), tuple(range(10, 20))))
-        cert = stitch_cycle(H, P, 2, seed=1)
-        if cert is not None:
-            assert validate_ell_cycle(H, cert.cycle())
-            assert is_respecting(cert.cycle(), P)
+        cert = stitch_cycle(H, P, 2)
+        assert cert is not None
+        assert validate_ell_cycle(H, cert.cycle())
+        assert is_respecting(cert.cycle(), P)
+
+    def test_sparse_host_partition_with_a_cycle(self):
+        # a sparse host whose partition has a respecting tight cycle, for
+        # example (1, 6, 5, 0, 3, 8, 2, 9, 7, 4); sampling stitch points at
+        # random misses it
+        H = gen_random(10, 3, 0.6, 1)
+        P = Partition(((0, 1, 3, 5, 6), (2, 4, 7, 8, 9)))
+        cert = stitch_cycle(H, P, 2)
+        assert cert is not None
+        assert validate_ell_cycle(H, cert.cycle()) and is_respecting(cert.cycle(), P)
 
     def test_divisibility_enforced(self):
         H = complete(14, 3)
@@ -119,17 +131,26 @@ class TestStitchCycle:
         with pytest.raises(DivisibilityError):
             stitch_cycle(H, P, 1)  # (k-ell)=2 does not divide 7
 
+    def test_fewer_vertices_than_a_cycle_needs(self):
+        H = complete(6, 3)
+        with pytest.raises(InvalidQueryError):
+            stitch_cycle(H, Partition(((0, 1),)), 1)  # an ell-cycle needs k vertices
+        with pytest.raises(InvalidQueryError):
+            stitch_power_cycle(H, Partition(((0, 1, 2),)), 4)  # a power needs t
+        with pytest.raises(InvalidQueryError):
+            stitch_cycle(H, Partition(((0, 1, 2, 3), ())), 1)  # an empty block has no arc
+
     def test_sparse_host_returns_none(self):
         H = Hypergraph(12, 3, [(0, 1, 2)])
         P = Partition((tuple(range(6)), tuple(range(6, 12))))
-        assert stitch_cycle(H, P, 1, junction_budget=3) is None
+        assert stitch_cycle(H, P, 1) is None
 
     def test_deterministic_given_seed(self):
         H = complete(24, 3)
         P = Partition(tuple(tuple(range(i, i + 12)) for i in range(0, 24, 12)))
         a = stitch_cycle(H, P, 1, seed=9)
         b = stitch_cycle(H, P, 1, seed=9)
-        assert a.order == b.order and a.junctions == b.junctions
+        assert a.order == b.order and a.to_json() == b.to_json()
 
 
 class TestStitchProperties:
@@ -145,13 +166,13 @@ class TestStitchProperties:
     def test_stitched_cycles_validate(self, data):
         k, ell = self.draw_k_ell(data)
         gap = k - ell
-        size = -(-(2 * ell + gap) // gap) * gap  # smallest block stitch_cycle accepts
+        size = gap * data.draw(st.integers(-(-k // gap), 4))
         n = size * data.draw(st.integers(1, 3))
         H = gen_random(n, k, data.draw(st.sampled_from([0.85, 0.95, 1.0])),
                        seed=data.draw(st.integers(0, 10 ** 6)))
         order = data.draw(st.permutations(range(n)))
         P = Partition(tuple(tuple(sorted(order[i:i + size])) for i in range(0, n, size)))
-        cert = stitch_cycle(H, P, ell, junction_budget=3, seed=data.draw(st.integers(0, 99)))
+        cert = stitch_cycle(H, P, ell)
         if cert is not None:
             assert validate_ell_cycle(H, cert.cycle())
             assert is_respecting(cert.cycle(), P)
@@ -169,11 +190,11 @@ class TestStitchProperties:
             assert validate_ell_cycle(H, cert.cycle())
 
     def test_window_phase_when_gap_does_not_divide_ell(self):
-        # k=3, ell=1: each block path's windows start at the previous junction
+        # k=3, ell=1: the windows may start at either phase of the arcs
         H = gen_random(24, 3, 0.97, 6)
         sv = size_vector(24, 6, 2, 3)
         part, _ = random_bisection(H, sv, GoodnessSpec(Fraction(1, 2), Fraction(1, 10)), seed=0)
-        cert = stitch_cycle(H, part, 1, seed=0)
+        cert = stitch_cycle(H, part, 1)
         assert cert is not None
         assert validate_ell_cycle(H, cert.cycle()) and is_respecting(cert.cycle(), part)
 
@@ -184,25 +205,84 @@ class TestStitchProperties:
         assert cert is not None and validate_ell_cycle(H, cert.cycle())
 
 
+def _respecting_ordering_exists(P, n, structure, valid):
+    """Brute force over every ordering of range(n): does one of them
+    form a valid structure that respects P?"""
+    for order in itertools.permutations(range(n)):
+        C = structure(order)
+        if is_respecting(C, P) and valid(C):
+            return True
+    return False
+
+
+def _draw_partition(data, n, gap):
+    """An ordered partition of range(n) into blocks whose sizes gap divides."""
+    order = data.draw(st.permutations(range(n)))
+    cuts = sorted(data.draw(st.sets(st.sampled_from(range(gap, n, gap)), max_size=3)))
+    ends = [0] + cuts + [n]
+    return Partition(tuple(tuple(order[a:b]) for a, b in zip(ends, ends[1:])))
+
+
+class TestRespectingSearchIsExact:
+    """The search finds a P-respecting structure exactly when one of the
+    n! orderings of V is one, for every 1 <= ell < k <= 4."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_ell_cycles_match_brute_force(self, data):
+        k = data.draw(st.integers(2, 4))
+        ell = data.draw(st.integers(1, k - 1))
+        gap = k - ell
+        n = data.draw(st.sampled_from([m for m in range(k, 9) if m % gap == 0]))
+        H = gen_random(n, k, data.draw(st.sampled_from([0.4, 0.6, 0.8, 1.0])),
+                       seed=data.draw(st.integers(0, 10 ** 6)))
+        P = _draw_partition(data, n, gap)
+        cert = stitch_cycle(H, P, ell)
+        exists = _respecting_ordering_exists(
+            P, n, lambda order: EllCycle(order, k, ell), lambda C: validate_ell_cycle(H, C)
+        )
+        assert (cert is not None) == exists
+        if cert is not None:
+            assert validate_ell_cycle(H, cert.cycle()) and is_respecting(cert.cycle(), P)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_power_cycles_match_brute_force(self, data):
+        k = data.draw(st.integers(2, 3))
+        t = data.draw(st.integers(k, 4))
+        n = data.draw(st.integers(t, 8))
+        H = gen_random(n, k, data.draw(st.sampled_from([0.5, 0.7, 0.9, 1.0])),
+                       seed=data.draw(st.integers(0, 10 ** 6)))
+        P = _draw_partition(data, n, 1)
+        cert = stitch_power_cycle(H, P, t)
+        exists = _respecting_ordering_exists(
+            P, n, lambda order: PowerCycle(order, t, k), lambda C: validate_power_cycle(H, C)
+        )
+        assert (cert is not None) == exists
+        if cert is not None:
+            C = cert.power_cycle()
+            assert validate_power_cycle(H, C) and is_respecting(C, P)
+
+
 class TestStitchPowerCycle:
     def test_complete_host(self):
         H = complete(18, 2)
         P = Partition((tuple(range(9)), tuple(range(9, 18))))
-        cert = stitch_power_cycle(H, P, 3, seed=4)
+        cert = stitch_power_cycle(H, P, 3)
         assert cert is not None
         assert validate_power_cycle(H, cert.power_cycle())
         assert is_respecting(cert.power_cycle(), P)
 
     def test_single_block(self):
         H = complete(8, 2)
-        cert = stitch_power_cycle(H, Partition((tuple(range(8)),)), 3, seed=0)
+        cert = stitch_power_cycle(H, Partition((tuple(range(8)),)), 3)
         assert cert is not None and validate_power_cycle(H, cert.power_cycle())
 
     def test_no_cliques_returns_none(self):
         C = EllCycle(tuple(range(12)), 2, 1)
         H = Hypergraph(12, 2, C.edge_set())  # triangle-free
         P = Partition((tuple(range(6)), tuple(range(6, 12))))
-        assert stitch_power_cycle(H, P, 3, junction_budget=2) is None
+        assert stitch_power_cycle(H, P, 3) is None
 
 
 class TestPipeline:
@@ -211,7 +291,7 @@ class TestPipeline:
         sv = size_vector(24, 6, 2, 3)
         spec = GoodnessSpec(Fraction(1, 2), Fraction(1, 10))
         part, _ = random_bisection(H, sv, spec, seed=11)
-        cert = stitch_cycle(H, part, 1, seed=11)
+        cert = stitch_cycle(H, part, 1)
         assert cert is not None
         assert is_respecting(cert.cycle(), part)
 
