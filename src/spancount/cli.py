@@ -47,9 +47,7 @@ from .paths import (
     EllPath,
     PowerCycle,
     enumerate_hamilton_ell_cycles,
-    validate_ell_cycle,
-    validate_ell_path,
-    validate_power_cycle,
+    validate_windows,
 )
 from .stitch import is_respecting, lower_bound_count, stitch_cycle, stitch_power_cycle
 
@@ -160,7 +158,9 @@ def cmd_generate(args) -> Dict:
 
 def cmd_partition(args) -> Dict:
     H = _load_host(args.input)
-    divisor = args.divisor or (H.k - args.ell if args.ell is not None else 1)
+    divisor = args.divisor
+    if divisor is None:
+        divisor = H.k - args.ell if args.ell is not None else 1
     sv = size_vector(H.n, args.m, divisor, H.k)
     spec = GoodnessSpec(_fraction(args.delta, "--delta"), _fraction(args.gamma, "--gamma"))
     est = estimate_good_probability(H, sv, spec, args.trials, args.seed)
@@ -208,13 +208,16 @@ def cmd_stitch(args) -> Dict:
         "stitch needs --ell (ell-cycles) or --t (powers of tight cycles)",
     )
     _require(not power_mode or args.t >= H.k, f"--t must be >= k = {H.k}, got {args.t}")
+    _require(
+        power_mode or 1 <= args.ell < H.k, f"--ell must be >= 1 and < k = {H.k}, got {args.ell}"
+    )
     _require(args.trials >= 1, "--trials must be >= 1")
     _require(args.workers >= 1, "--workers must be >= 1")
     _require(
         not (args.exact_count and power_mode) or args.t == H.k,
         f"--exact-count counts Hamilton tight cycles, so with --t it needs t = k = {H.k}",
     )
-    divisor = 1 if power_mode else max(1, H.k - args.ell)
+    divisor = 1 if power_mode else H.k - args.ell
     sv = size_vector(H.n, args.m, divisor, H.k)
     spec = GoodnessSpec(_fraction(args.delta, "--delta"), _fraction(args.gamma, "--gamma"))
     target = spec.delta + spec.gamma / 2
@@ -351,18 +354,17 @@ def cmd_verify(args) -> Dict:
 
         return check(field(*names), depth)
 
-    if kind == "ell-path":
-        valid = validate_ell_path(H, EllPath(integers(1, "order"), H.k, integers(0, "ell")))
-    elif kind == "ell-cycle":
-        cycle = EllCycle(integers(1, "order"), H.k, integers(0, "ell", "param"))
-        valid = validate_ell_cycle(H, cycle)
-        if valid and "blocks" in data:
-            valid = is_respecting(cycle, Partition(integers(2, "blocks")))
-    elif kind == "power-cycle":
-        cycle = PowerCycle(integers(1, "order"), integers(0, "t", "param"), H.k)
-        valid = validate_power_cycle(H, cycle)
-        if valid and "blocks" in data:
-            valid = is_respecting(cycle, Partition(integers(2, "blocks")))
+    if kind in ("ell-path", "ell-cycle", "power-cycle"):
+        order = integers(1, "order")
+        if kind == "ell-path":
+            structure = EllPath(order, H.k, integers(0, "ell"))
+        elif kind == "ell-cycle":
+            structure = EllCycle(order, H.k, integers(0, "ell", "param"))
+        else:
+            structure = PowerCycle(order, integers(0, "t", "param"), H.k)
+        valid = validate_windows(H, structure)
+        if valid and kind != "ell-path" and "blocks" in data:
+            valid = is_respecting(structure, Partition(integers(2, "blocks")))
     elif kind == "decomposition":
         if "pattern" in data:
             spec = FactorSpec(Hypergraph.from_edge_list(data["pattern"]))

@@ -4,14 +4,19 @@ An ell-path on vertices v_1..v_t has edges given by the consecutive
 k-windows at stride k-ell, so consecutive edges share exactly ell
 vertices; an ell-cycle wraps the windows cyclically.  That window
 layout is defined once (`_windows`), and so is the layout of a power of
-a tight cycle (`_power_windows`).  The solvers here all run one
-ordered-window search, which fills positions in order so that every
-window of a given layout spans an edge, each position drawing from its
-own allowed vertex mask; it takes any layout, so the F-factor code
-finds copies of F with it too, and the partition-respecting search
-confines each position to the block whose arc covers it.  Searches
-carry explicit node budgets: a partial result never masquerades as an
-exact one.
+a tight cycle (`_power_windows`).  Each structure lists its windows,
+and one check (`validate_windows`) tests them against a host.
+
+The solvers here all run one ordered-window search, which fills
+positions in order so that every window of a given layout spans an
+edge, each position drawing from its own allowed vertex mask; a path's
+ends are one-bit masks.  It takes any layout, so the F-factor code
+finds copies of F with it too.  Every cyclic search runs through
+`_cycle_orders`, which confines each position to the block whose arc
+covers it; a phase is a position where the first arc may start, and a
+single block (the enumerator's whole vertex set) pins its least vertex
+there instead.  Searches carry explicit node budgets: a partial result
+never masquerades as an exact one.
 
 Hamilton ell-cycles are counted as sub-hypergraphs (distinct edge
 sets), not orderings; rotations, reflections and small-n coincidences
@@ -117,6 +122,10 @@ class PowerCycle:
                 f"cycle needs at least t={self.t} vertices, got {len(self.order)}"
             )
 
+    def windows(self) -> List[Tuple[int, ...]]:
+        layout = _power_windows(self.k, self.t, len(self.order))
+        return [tuple(self.order[q] for q in w) for w in layout]
+
 
 @dataclass(frozen=True)
 class EndPair:
@@ -139,32 +148,18 @@ class EndPair:
 # -- validators ----------------------------------------------------------
 
 
-def validate_ell_path(H: Hypergraph, P: EllPath) -> bool:
-    """True iff every consecutive k-window of P is an edge of H."""
-    if P.k != H.k:
-        raise InvalidStructureError(f"path uniformity {P.k} != host uniformity {H.k}")
-    if any(v < 0 or v >= H.n for v in P.order):
-        raise InvalidStructureError("path visits vertices outside the host")
-    return all(H.has_edge(w) for w in P.windows())
+def validate_windows(H: Hypergraph, S) -> bool:
+    """True iff every window of S (an EllPath, EllCycle or PowerCycle)
+    is an edge of H; raises if S has another uniformity than H or
+    visits vertices outside it."""
+    if S.k != H.k:
+        raise InvalidStructureError(f"structure uniformity {S.k} != host uniformity {H.k}")
+    if any(v < 0 or v >= H.n for v in S.order):
+        raise InvalidStructureError("structure visits vertices outside the host")
+    return all(H.has_edge(w) for w in S.windows())
 
 
-def validate_ell_cycle(H: Hypergraph, C: EllCycle) -> bool:
-    """True iff every cyclic k-window of C is an edge of H."""
-    if C.k != H.k:
-        raise InvalidStructureError(f"cycle uniformity {C.k} != host uniformity {H.k}")
-    if any(v < 0 or v >= H.n for v in C.order):
-        raise InvalidStructureError("cycle visits vertices outside the host")
-    return all(H.has_edge(w) for w in C.windows())
-
-
-def validate_power_cycle(H: Hypergraph, C: PowerCycle) -> bool:
-    """True iff every cyclic t-window of C spans a k-uniform clique of H."""
-    if C.k != H.k:
-        raise InvalidStructureError(f"cycle uniformity {C.k} != host uniformity {H.k}")
-    if any(v < 0 or v >= H.n for v in C.order):
-        raise InvalidStructureError("cycle visits vertices outside the host")
-    layout = _power_windows(H.k, C.t, len(C.order))
-    return all(H.has_edge(C.order[q] for q in w) for w in layout)
+validate_ell_path = validate_ell_cycle = validate_power_cycle = validate_windows
 
 
 # -- the ordered-window search -------------------------------------------
@@ -222,22 +217,21 @@ def _ordered_search(
     length: int,
     allowed: Sequence[int],
     budget: Optional[_Budget],
-    prefix: Sequence[int] = (),
 ) -> Iterator[Tuple[int, ...]]:
     """Yield every ordering of `length` vertices in which each window of
     the layout `windows` (position tuples, each of k positions) is an
     edge of H.
 
-    Positions after `prefix` are filled in order.  Position p takes the
-    vertices of the bitmask `allowed[p]` that are not yet placed, in
-    ascending order; a one-bit mask pins p to its vertex.  The vertex
-    must complete each window that closes there, so the candidate
-    bitmask is cut down to those windows' codegree masks.  With a
-    budget, entering a position spends one node.
+    Positions are filled in order.  Position p takes the vertices of
+    the bitmask `allowed[p]` that are not yet placed, in ascending
+    order; a one-bit mask pins p to its vertex.  The vertex must
+    complete each window that closes there, so the candidate bitmask is
+    cut down to those windows' codegree masks.  With a budget, entering
+    a position spends one node.
     """
     closing = _closing(windows, length)
-    order = list(prefix) + [-1] * (length - len(prefix))
-    free = ((1 << H.n) - 1) & ~vertex_mask(prefix)
+    order = [-1] * length
+    free = (1 << H.n) - 1
     nbrs = H._codegree_neighbours()
 
     def place(p: int) -> Iterator[Tuple[int, ...]]:
@@ -256,7 +250,7 @@ def _ordered_search(
             yield from place(p + 1)
             free |= 1 << v
 
-    return place(len(prefix))
+    return place(0)
 
 
 def _pinned(length: int, pool: Iterable[int], p: int, v: int) -> List[int]:
@@ -268,17 +262,45 @@ def _pinned(length: int, pool: Iterable[int], p: int, v: int) -> List[int]:
 
 
 def _cycle_orders(
-    H: Hypergraph, ell: int, pool: Sequence[int], budget: _Budget
+    H: Hypergraph,
+    blocks: Sequence[Sequence[int]],
+    windows: Layout,
+    phases: int,
+    budget: _Budget,
 ) -> Iterator[Tuple[int, ...]]:
-    """Hamilton ell-cycle orderings of `pool` with its least vertex at a
-    position r0 in [0, k-ell), r0 = 0 first.  Rotating by a multiple of
-    k-ell puts any cycle ordering in this form, so the roots are
-    exhaustive."""
-    pool = sorted(pool)
-    windows = _windows(H.k, H.k - ell, len(pool), True)
-    for r0 in range(H.k - ell):
-        allowed = _pinned(len(pool), pool, r0, pool[0])
-        yield from _ordered_search(H, windows, len(pool), allowed, budget)
+    """Every cyclic ordering in which the blocks fill consecutive arcs
+    in the given order and every window of the cyclic layout `windows`
+    is an edge, V_1's arc starting at a phase s < `phases`.
+
+    Rotating an ordering by a multiple of `phases` must keep the
+    layout; then any such ordering has a rotation found here.  A single
+    block fixes no rotation, so its least vertex is pinned at position
+    s instead.  The phases are searched in order and share the budget.
+    """
+    arcs = [vertex_mask(block) for block in blocks for _ in block]
+    n = len(arcs)
+    for s in range(phases):
+        if len(blocks) == 1:
+            allowed = _pinned(n, blocks[0], s, min(blocks[0]))
+        else:
+            allowed = arcs[n - s:] + arcs[:n - s]
+        yield from _ordered_search(H, windows, n, allowed, budget)
+
+
+def _search_cycle(
+    H: Hypergraph,
+    blocks: Sequence[Sequence[int]],
+    windows: Layout,
+    phases: int,
+    budget: _Budget,
+) -> Optional[Tuple[int, ...]]:
+    """The first ordering of `_cycle_orders`, or None if there is none.
+
+    The stitchers call this rather than `_cycle_orders` so that the
+    benchmark's tracer (`bench/tracing.py`) can time their searches as
+    its `paths.search` frame.
+    """
+    return next(_cycle_orders(H, blocks, windows, phases, budget), None)
 
 
 def _search_path(
@@ -292,37 +314,13 @@ def _search_path(
 ) -> Optional[Tuple[int, ...]]:
     """First ell-path ordering of `total` vertices from a to b, or None.
 
-    Interior vertices are drawn from `pool`; the last ell positions are
-    pinned to spell out b in order.
+    The first and last ell positions are pinned to spell out a and b in
+    order; the interior vertices are drawn from `pool`.
     """
-    allowed = [vertex_mask(pool) & ~vertex_mask(b)] * (total - ell) + [1 << v for v in b]
+    interior = vertex_mask(pool) & ~vertex_mask(a + b)
+    allowed = [1 << v for v in a] + [interior] * (total - 2 * ell) + [1 << v for v in b]
     windows = _windows(H.k, H.k - ell, total, False)
-    return next(_ordered_search(H, windows, total, allowed, budget, prefix=a), None)
-
-
-def _search_cycle(
-    H: Hypergraph,
-    blocks: Sequence[Sequence[int]],
-    windows: Layout,
-    phases: int,
-    budget: _Budget,
-) -> Optional[Tuple[int, ...]]:
-    """First cyclic ordering in which the blocks fill consecutive arcs,
-    in the given order from position 0, and every window of the cyclic
-    layout `windows`, shifted by some phase r0 < `phases`, is an edge.
-
-    The phases are tried in order and share the budget.  A found order
-    is rotated by r0, so that its windows are those of `windows`; None
-    means that no such ordering exists.
-    """
-    arcs = tuple(vertex_mask(block) for block in blocks for _ in block)
-    n = len(arcs)
-    for r0 in range(phases):
-        shifted = tuple(tuple((q + r0) % n for q in w) for w in windows)
-        order = next(_ordered_search(H, shifted, n, arcs, budget), None)
-        if order is not None:
-            return order[r0:] + order[:r0]
-    return None
+    return next(_ordered_search(H, windows, total, allowed, budget), None)
 
 
 # -- Hamilton path / cycle solvers ---------------------------------------
@@ -381,7 +379,7 @@ def enumerate_hamilton_ell_cycles(
 
     windows = _windows(k, gap, n, True)
     found: dict = {}
-    for order in _cycle_orders(H, ell, range(n), _Budget(budget)):
+    for order in _cycle_orders(H, (range(n),), windows, gap, _Budget(budget)):
         edge_set = frozenset(tuple(sorted(order[q] for q in w)) for w in windows)
         found.setdefault(edge_set, order)
     if mode == "count":

@@ -1,15 +1,18 @@
 """Assembling partition-respecting Hamilton structures.
 
-A cycle respects an ordered partition (V_1, ..., V_r) when its blocks
-occupy consecutive arcs in cyclic block order.  One exact search
-decides whether such a cycle exists: it lays the positions out as the
-arcs V_1 ... V_r in order and confines each position to its arc's
-block, then fills the positions so that every window of the structure
-is an edge.  An ell-cycle's window layout is tried at each of its k-ell
-phases; a power of a tight cycle uses every k-subset of every cyclic
-t-window, in one phase.  The forward direction is enough, since
-reversing either structure gives another one of the same kind.  So a
-stitcher returning None means that no P-respecting structure exists.
+A cycle respects an ordered partition (V_1, ..., V_r) when, read in
+one of its two directions, its block ids are a rotation of the arc
+layout: |V_1| copies of 1, then |V_2| copies of 2, and so on.  One
+exact search decides whether such a cycle exists: it confines each
+position to the block of the arc that covers it, then fills the
+positions so that every window of the structure is an edge.  The
+search's phases are the positions where V_1's arc may start: k-ell of
+them for an ell-cycle, whose window layout repeats with period k-ell,
+and one for a power of a tight cycle, whose layout (every k-subset of
+every cyclic t-window) repeats with period 1.  The forward direction is
+enough, since reversing either structure gives another one of the same
+kind.  So a stitcher returning None means that no P-respecting
+structure exists.
 
 Every returned certificate is validated before it leaves this module.
 """
@@ -19,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .bounds import RationalBracket, exp_neg_bracket, multinomial
 from .errors import DivisibilityError, InvalidQueryError
@@ -32,8 +35,7 @@ from .paths import (
     _power_windows,
     _search_cycle,
     _windows,
-    validate_ell_cycle,
-    validate_power_cycle,
+    validate_windows,
 )
 
 
@@ -70,8 +72,10 @@ class RespectingCertificate:
 
 
 def is_respecting(C, P: Partition) -> bool:
-    """True iff the blocks appear as consecutive arcs, in cyclic block
-    order, for one of the two directions of C.
+    """True iff, for one of the two directions of C, some rotation of
+    its block ids is the arc layout of P: the blocks appear as
+    consecutive arcs in cyclic block order.  A partition with an empty
+    block is respected by no cycle.
 
     C may be any object with a cyclic `.order` tuple (EllCycle,
     PowerCycle, or a certificate view); only the ordering matters.
@@ -82,31 +86,15 @@ def is_respecting(C, P: Partition) -> bool:
     """
     if set(C.order) != set(P.vertex_set()):
         raise InvalidQueryError("cycle must span exactly the partition's vertices")
+    if not all(P.blocks):
+        return False
+    layout = [i for i, B in enumerate(P.blocks) for _ in B]
     block_of = P.block_of()
     for direction in (C.order, C.order[::-1]):
         ids = [block_of[v] for v in direction]
-        runs = _cyclic_runs(ids)
-        if len(runs) == P.r and _is_cyclic_shift_of_range(runs, P.r):
-            return True
-        if P.r == 1 and len(runs) == 1:
+        if any(ids[s:] + ids[:s] == layout for s in range(len(ids))):
             return True
     return False
-
-
-def _cyclic_runs(ids: Sequence[int]) -> List[int]:
-    """Collapse cyclically-consecutive equal entries into one per run."""
-    runs: List[int] = []
-    for x in ids:
-        if not runs or runs[-1] != x:
-            runs.append(x)
-    if len(runs) > 1 and runs[0] == runs[-1]:
-        runs.pop()
-    return runs
-
-
-def _is_cyclic_shift_of_range(runs: Sequence[int], r: int) -> bool:
-    start = runs[0]
-    return all(runs[i] == (start + i) % r for i in range(len(runs)))
 
 
 def respecting_multiplicity(C: EllCycle, sv) -> int:
@@ -202,11 +190,8 @@ def _certified(
     if order is None:
         return None
     cert = RespectingCertificate(order, P, kind, H.k, param)
-    if kind == "ell-cycle":
-        structure, valid = cert.cycle(), validate_ell_cycle
-    else:
-        structure, valid = cert.power_cycle(), validate_power_cycle
-    if not valid(H, structure) or not is_respecting(structure, P):
+    structure = cert.cycle() if kind == "ell-cycle" else cert.power_cycle()
+    if not validate_windows(H, structure) or not is_respecting(structure, P):
         raise AssertionError(f"stitched {kind} failed validation; construction bug")
     return cert
 

@@ -220,16 +220,35 @@ class TestExitCodes:
         assert main(argv + ["--budget", "23"]) == 3  # 24 positions, one node each
         assert main(argv + ["--budget", "24"]) == 0
 
-    def test_power_below_k_is_2_on_every_host(self, tmp_path):
-        # rejected at the parse boundary, whether or not a trial is good
+    @staticmethod
+    def stitch_hosts(tmp_path):
+        """A tight 3-cycle on 8 vertices, where no trial is good, and K_24^(3)."""
         tight = tmp_path / "c8.txt"
         tight.write_text(Hypergraph(8, 3, EllCycle(range(8), 3, 2).windows()).to_edge_list())
         k24 = tmp_path / "k24.txt"
         assert main(["generate", "--family", "complete", "--n", "24", "--k", "3",
                      "--out", str(k24)]) == 0
-        for hostfile in (tight, k24):
+        return tight, k24
+
+    def test_power_below_k_is_2_on_every_host(self, tmp_path):
+        # rejected at the parse boundary, whether or not a trial is good
+        for hostfile in self.stitch_hosts(tmp_path):
             assert main(["stitch", "--input", str(hostfile), "--t", "2", "--m", "3",
                          "--delta", "1/2", "--gamma", "1/10", "--trials", "1"]) == 2
+
+    @pytest.mark.parametrize("ell", ["3", "0", "-1"])
+    def test_ell_outside_one_to_k_is_2_on_every_host(self, tmp_path, ell):
+        for hostfile in self.stitch_hosts(tmp_path):
+            assert main(["stitch", "--input", str(hostfile), "--ell", ell, "--m", "3",
+                         "--delta", "1/2", "--gamma", "1/10", "--trials", "1"]) == 2
+
+    @pytest.mark.parametrize("divisor", ["0", "-2"])
+    def test_divisor_below_one_is_2(self, tmp_path, divisor):
+        k24 = tmp_path / "k24.txt"
+        assert main(["generate", "--family", "complete", "--n", "24", "--k", "3",
+                     "--out", str(k24)]) == 0
+        assert main(["partition", "--input", str(k24), "--m", "6", "--delta", "1/2",
+                     "--gamma", "1/10", "--trials", "1", "--divisor", divisor]) == 2
 
     @pytest.mark.parametrize("command", ["generate", "partition", "verify"])
     def test_budget_without_a_search_is_rejected(self, host, tmp_path, command):

@@ -61,6 +61,23 @@ class TestIsRespecting:
         with pytest.raises(InvalidQueryError):
             is_respecting(C, Partition(((0, 1), (2, 3), (4, 5))))
 
+    def test_empty_block_rejected(self):
+        # an empty block occupies no arc, so the other blocks' arcs alone
+        # do not make the cycle respect the partition
+        C = EllCycle((0, 1, 2, 3), 2, 1)
+        assert not is_respecting(C, Partition(((0, 1), (), (2, 3))))
+
+
+def _ordered_partitions(vertices, sizes):
+    """Every ordered partition of `vertices` into blocks of the given sizes."""
+    if not sizes:
+        yield ()
+        return
+    for first in itertools.combinations(vertices, sizes[0]):
+        rest = [v for v in vertices if v not in first]
+        for blocks in _ordered_partitions(rest, sizes[1:]):
+            yield (first,) + blocks
+
 
 class TestMultiplicity:
     def test_two_equal_blocks_on_hexagon(self):
@@ -84,6 +101,19 @@ class TestMultiplicity:
             except InvalidQueryError:
                 pass
         assert got == ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_counts_the_partitions_that_is_respecting_accepts(self, data):
+        n = data.draw(st.integers(2, 7))
+        C = EllCycle(data.draw(st.permutations(range(n))), 2, 1)
+        r = data.draw(st.integers(1, 3))
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=r - 1)))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+        accepted = sum(
+            is_respecting(C, Partition(blocks)) for blocks in _ordered_partitions(range(n), sizes)
+        )
+        assert accepted == respecting_multiplicity(C, sizes)
 
     def test_bounded_by_2n(self):
         C = EllCycle(tuple(range(8)), 2, 1)
@@ -197,6 +227,13 @@ class TestStitchProperties:
         cert = stitch_cycle(H, part, 1)
         assert cert is not None
         assert validate_ell_cycle(H, cert.cycle()) and is_respecting(cert.cycle(), part)
+
+    def test_single_block_proof_costs_no_more_than_the_enumerator(self):
+        # no tight cycle exists; the enumerator proves it in 3,111 nodes,
+        # and the one-block stitcher runs the same pinned search
+        H = gen_random(10, 3, 0.45, 2)
+        assert enumerate_hamilton_ell_cycles(H, 2, budget=3111) == 0
+        assert stitch_cycle(H, Partition((tuple(range(10)),)), 2, node_budget=3111) is None
 
     def test_single_block_tries_every_root(self):
         # the only Hamilton 1-cycle needs vertex 0 at an odd position
