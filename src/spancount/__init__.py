@@ -36,7 +36,6 @@ from .factors import (
     matching_count_closed_form,
     matching_zero_cycle_relation,
     partition_multiplicity_bound,
-    perfect_matching,
     single_edge_spec,
     stitch_factor,
     verify_decomposition,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import InvalidQueryError, InvalidStructureError
 from .hypergraphs import Hypergraph, vertex_mask
@@ -94,17 +94,9 @@ def classify_set(
         )
     counter = _Budget(budget)
     allowed = (vertex_mask(range(H.n)) & ~vertex_mask(s),) * t
-    absorb_cache: Dict[Tuple[frozenset, Tuple[int, ...], Tuple[int, ...]], bool] = {}
     count = 0
     for order in _ordered_search(H, _windows(k, k - ell, t, False), t, allowed, counter):
-        a, b = order[:ell], order[-ell:]
-        key = (frozenset(order), a, b)
-        hit = absorb_cache.get(key)
-        if hit is None:
-            path = EllPath(order, k, ell)
-            hit = can_absorb(H, path, [s]) is not None
-            absorb_cache[key] = hit
-        if hit:
+        if can_absorb(H, EllPath(order, k, ell), [s]) is not None:
             count += 1
     good = count >= cfg.beta * H.n ** t
     return count, good

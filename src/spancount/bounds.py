@@ -1,12 +1,13 @@
 """Exact big-number arithmetic for the counting expressions.
 
 Transcendental quantities (e^{-n}, log n) are carried as rigorous
-rational brackets: decimal exp/ln are correctly rounded to the working
-precision (always half-even, whatever the context rounding says), so
-widening that value by one unit in the last place on each side gives
-guaranteed lower and upper rational bounds.  Every comparison against
-an exact integer count uses the conservative side of the bracket, so
-no check can pass or fail on rounding direction.
+rational brackets at one fixed precision, 24 significant decimal digits:
+decimal exp/ln are correctly rounded to it (always half-even, whatever
+the context rounding says), so widening that value by one unit in the
+last place on each side gives guaranteed lower and upper rational
+bounds.  Every comparison against an exact integer count uses the
+conservative side of the bracket, so no check can pass or fail on
+rounding direction.
 """
 
 from __future__ import annotations
@@ -57,46 +58,43 @@ class CountBound:
     exact_value: Optional[Fraction] = None
 
 
-def _digits_for_bits(bits: int) -> int:
-    # 64 fractional bits ~ 19.3 decimal digits; pad for safety
-    return max(10, int(bits * 0.30103) + 5)
+# significant decimal digits of every exp/ln evaluation (64 bits and a margin)
+_DIGITS = 24
 
 
-def _ulp_bracket(d: Decimal, prec: int) -> Tuple[Fraction, Fraction]:
+def _ulp_bracket(d: Decimal) -> Tuple[Fraction, Fraction]:
     """Widen a correctly rounded decimal by one unit in the last place.
 
     Decimal exp/ln always round half-even, so the true value lies
     strictly within one ulp of d in either direction.
     """
-    ulp = Fraction(Decimal(1).scaleb(d.adjusted() - prec + 1))
+    ulp = Fraction(Decimal(1).scaleb(d.adjusted() - _DIGITS + 1))
     return Fraction(d) - ulp, Fraction(d) + ulp
 
 
-def exp_neg_bracket(n: int, precision_bits: int = 64) -> Tuple[Fraction, Fraction]:
+def exp_neg_bracket(n: int) -> Tuple[Fraction, Fraction]:
     """Rigorous rational bracket of e^{-n} for integer n >= 0."""
     if n < 0:
         raise InvalidQueryError("n must be non-negative")
     if n == 0:
         return Fraction(1), Fraction(1)
-    prec = _digits_for_bits(precision_bits)
-    return _ulp_bracket(Context(prec=prec).exp(Decimal(-n)), prec)
+    return _ulp_bracket(Context(prec=_DIGITS).exp(Decimal(-n)))
 
 
-def _ln_int_bracket(p: int, prec: int) -> Tuple[Fraction, Fraction]:
+def _ln_int_bracket(p: int) -> Tuple[Fraction, Fraction]:
     if p == 1:
         return Fraction(0), Fraction(0)
-    return _ulp_bracket(Context(prec=prec).ln(Decimal(p)), prec)
+    return _ulp_bracket(Context(prec=_DIGITS).ln(Decimal(p)))
 
 
-def log_bracket(x, precision_bits: int = 64) -> RationalBracket:
+def log_bracket(x) -> RationalBracket:
     """Rigorous rational bracket of ln(x) for rational x > 0."""
     x = Fraction(x)
     if x <= 0:
         raise InvalidQueryError(f"log bracket needs x > 0, got {x}")
-    prec = _digits_for_bits(precision_bits)
     # ln(p/q) = ln p - ln q, combining the conservative sides
-    lo_p, hi_p = _ln_int_bracket(x.numerator, prec)
-    lo_q, hi_q = _ln_int_bracket(x.denominator, prec)
+    lo_p, hi_p = _ln_int_bracket(x.numerator)
+    lo_q, hi_q = _ln_int_bracket(x.denominator)
     return RationalBracket(lo_p - hi_q, hi_p - lo_q)
 
 
@@ -115,7 +113,7 @@ def multinomial(n: int, sizes: Sequence[int]) -> int:
     return out
 
 
-def log_growth_bound(n: int, C, t: Optional[int] = None, precision_bits: int = 64) -> CountBound:
+def log_growth_bound(n: int, C, t: Optional[int] = None) -> CountBound:
     """Log bracket of exp((1 - 1/t) n log n - C n); t omitted means the
     plain exp(n log n - C n) cycle-count bound."""
     if n < 1:
@@ -124,30 +122,25 @@ def log_growth_bound(n: int, C, t: Optional[int] = None, precision_bits: int = 6
     if C < 0:
         raise InvalidQueryError("C must be >= 0")
     factor = Fraction(1) if t is None else 1 - Fraction(1, t)
-    logn = log_bracket(n, precision_bits)
+    logn = log_bracket(n)
     scale = factor * n
     lo = logn.lo * scale - C * n
     hi = logn.hi * scale - C * n
     return CountBound(RationalBracket(lo, hi))
 
 
-def count_bound_from_exact(value: Fraction, precision_bits: int = 64) -> CountBound:
+def count_bound_from_exact(value: Fraction) -> CountBound:
     """Wrap an exact non-negative rational as a CountBound."""
     value = Fraction(value)
     if value < 0:
         raise InvalidQueryError("counts cannot be negative")
     if value == 0:
         return CountBound(None, exact_value=value)
-    return CountBound(log_bracket(value, precision_bits), exact_value=value)
+    return CountBound(log_bracket(value), exact_value=value)
 
 
 def expected_random_count(
-    n: int,
-    k: int,
-    ell: int,
-    delta,
-    budget: Optional[int] = None,
-    precision_bits: int = 64,
+    n: int, k: int, ell: int, delta, budget: Optional[int] = None
 ) -> CountBound:
     """Psi_{k,ell}(n, delta): expected Hamilton ell-cycle count in the
     binomial random k-graph, as (complete-host count) * delta^(n/(k-ell)).
@@ -164,4 +157,4 @@ def expected_random_count(
         raise InvalidQueryError(f"delta = {delta} must lie in [0, 1]")
     count = enumerate_hamilton_ell_cycles(complete(n, k), ell, mode="count", budget=budget)
     value = count * delta ** (n // (k - ell))
-    return count_bound_from_exact(value, precision_bits)
+    return count_bound_from_exact(value)

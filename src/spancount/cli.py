@@ -133,6 +133,7 @@ def cmd_generate(args) -> Dict:
         planted = {"type": "ell-cycle", "ell": args.ell, "order": list(cycle.order)}
     else:  # planted-factor
         _require(args.t is not None, "planted-factor needs --t")
+        _require(args.t >= args.k, f"--t must be >= k = {args.k}, got {args.t}")
         _require(args.n % args.t == 0, f"t = {args.t} must divide n = {args.n}")
         edges = []
         copies = []
@@ -158,6 +159,7 @@ def cmd_generate(args) -> Dict:
 
 def cmd_partition(args) -> Dict:
     H = _load_host(args.input)
+    _require(args.ell is None or args.divisor is None, "give --ell or --divisor, not both")
     divisor = args.divisor
     if divisor is None:
         divisor = H.k - args.ell if args.ell is not None else 1
@@ -204,8 +206,8 @@ def cmd_stitch(args) -> Dict:
     H = _load_host(args.input)
     power_mode = args.t is not None
     _require(
-        power_mode or args.ell is not None,
-        "stitch needs --ell (ell-cycles) or --t (powers of tight cycles)",
+        power_mode != (args.ell is not None),
+        "stitch needs one of --ell (ell-cycles) and --t (powers of tight cycles)",
     )
     _require(not power_mode or args.t >= H.k, f"--t must be >= k = {H.k}, got {args.t}")
     _require(
@@ -367,6 +369,7 @@ def cmd_verify(args) -> Dict:
             valid = is_respecting(structure, Partition(integers(2, "blocks")))
     elif kind == "decomposition":
         if "pattern" in data:
+            _require(isinstance(data["pattern"], str), "decomposition pattern must be an edge list")
             spec = FactorSpec(Hypergraph.from_edge_list(data["pattern"]))
         else:
             spec = single_edge_spec(H.k)

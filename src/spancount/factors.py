@@ -18,7 +18,6 @@ against the host with `verify_decomposition`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,9 +63,6 @@ class FactorDecomposition:
 
     def vertex_sets(self) -> List[frozenset]:
         return [frozenset(c) for c in self.copies]
-
-    def to_json(self) -> str:
-        return json.dumps({"copies": [list(c) for c in self.copies]})
 
 
 def verify_decomposition(H: Hypergraph, spec: FactorSpec, dec: FactorDecomposition) -> bool:
@@ -188,13 +184,6 @@ def count_f_factors(H: Hypergraph, spec: FactorSpec, budget: Optional[int] = Non
     return factor_census(H, spec, budget)[0]
 
 
-def perfect_matching(H: Hypergraph, budget: Optional[int] = None) -> Optional[FactorDecomposition]:
-    """A perfect matching of H (F = single edge), or None."""
-    if H.n % H.k != 0:
-        raise DivisibilityError(f"k = {H.k} must divide |H| = {H.n}")
-    return find_f_factor(H, single_edge_spec(H.k), budget)
-
-
 def matching_count_closed_form(n: int, k: int) -> int:
     """Perfect matchings of the complete k-graph: n! / ((k!)^(n/k) (n/k)!)."""
     if n % k != 0:
@@ -227,9 +216,7 @@ def partition_multiplicity_bound(n: int, t: int) -> int:
     return q ** q
 
 
-def factor_lower_bound(
-    n: int, t: int, sv: SizeVector, precision_bits: int = 64
-) -> RationalBracket:
+def factor_lower_bound(n: int, t: int, sv: SizeVector) -> RationalBracket:
     """Bracket of e^{-n} * exp(-(n/t) log n) * multinomial(n; sizes).
 
     exp(-(n/t) log n) = n^(-n/t) is exact when t divides n; only the
@@ -241,7 +228,7 @@ def factor_lower_bound(
         raise InvalidQueryError(f"size vector sums to {sv.n}, expected {n}")
     mult = _multinomial(n, sv.sizes)
     scale = Fraction(mult, n ** (n // t))
-    e_lo, e_hi = exp_neg_bracket(n, precision_bits)
+    e_lo, e_hi = exp_neg_bracket(n)
     return RationalBracket(e_lo * scale, e_hi * scale)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import operator
 import random
 from dataclasses import dataclass
@@ -57,9 +56,6 @@ class Hypergraph:
     @property
     def edges(self) -> FrozenSet[Edge]:
         return self._edges
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def num_edges(self) -> int:
         return len(self._edges)
@@ -146,10 +142,6 @@ class Hypergraph:
             return 0
         return min(hits.values())
 
-    def min_codegree(self) -> int:
-        """delta(H), the minimum (k-1)-degree."""
-        return self.min_d_degree(self.k - 1)
-
     # -- serialization ---------------------------------------------------
 
     def to_edge_list(self) -> str:
@@ -173,16 +165,6 @@ class Hypergraph:
         except ValueError as exc:
             raise InvalidQueryError(f"edge list entries must be integers: {exc}") from None
         return cls(n, k, edges)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.n, "k": self.k, "edges": [list(e) for e in sorted(self._edges)]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Hypergraph":
-        data = json.loads(text)
-        return cls(data["n"], data["k"], [tuple(e) for e in data["edges"]])
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -154,24 +153,6 @@ class BisectionTrace:
     def level_event(self, i: int) -> bool:
         """E_i: every block event at level i holds."""
         return all(rec.holds for rec in self.events[i])
-
-    def to_json(self) -> str:
-        def records(level: List[EventRecord]) -> List[Dict]:
-            return [{"size": r.size, "holds": r.holds, "clamped": r.clamped} for r in level]
-
-        return json.dumps(
-            {
-                "s": self.s,
-                "levels": [
-                    {
-                        "blocks": [list(b) for b in self.level_blocks[i]],
-                        "events": records(self.events[i]),
-                    }
-                    for i in range(self.s + 1)
-                ],
-                "refinements": [records(level) for level in self.refinements],
-            }
-        )
 
 
 def block_size_tree(sv: SizeVector) -> List[List[int]]:
@@ -423,7 +404,9 @@ class GoodProbabilityEstimate:
     level_conditional: List[Tuple[int, int]]  # (E_i and E_{i-1} count, E_{i-1} count)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> Tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
+    """The 95% Wilson score interval of successes / trials."""
+    z = 1.959963984540054
     if trials == 0:
         return (0.0, 1.0)
     phat = successes / trials

@@ -100,7 +100,8 @@ def is_respecting(C, P: Partition) -> bool:
 def respecting_multiplicity(C: EllCycle, sv) -> int:
     """Exact number of ordered partitions with the given block sizes
     that the ordering C.order respects, over both directions and all
-    rotations.
+    rotations.  A partition with an empty block is respected by no
+    ordering (see `is_respecting`), so any size 0 gives 0.
 
     This counts for one vertex ordering, not for a cycle's edge set.
     `EllCycle(range(9), 4, 1)` with sizes (6, 3) respects 9 ordered
@@ -111,6 +112,8 @@ def respecting_multiplicity(C: EllCycle, sv) -> int:
     n = len(C.order)
     if sum(sizes) != n:
         raise InvalidQueryError(f"sizes sum to {sum(sizes)}, cycle has {n} vertices")
+    if not all(sizes):
+        return 0
     seen = set()
     for direction in (C.order, C.order[::-1]):
         for rot in range(n):
@@ -199,11 +202,11 @@ def _certified(
 # -- counting lower bound ------------------------------------------------
 
 
-def lower_bound_count(n: int, sv: SizeVector, precision_bits: int = 64) -> RationalBracket:
+def lower_bound_count(n: int, sv: SizeVector) -> RationalBracket:
     """Directed-rounding bracket of e^{-n} / (2n) * multinomial(n; sizes)."""
     if sv.n != n:
         raise InvalidQueryError(f"size vector sums to {sv.n}, expected {n}")
     mult = multinomial(n, sv.sizes)
-    e_lo, e_hi = exp_neg_bracket(n, precision_bits)
+    e_lo, e_hi = exp_neg_bracket(n)
     scale = Fraction(mult, 2 * n)
     return RationalBracket(e_lo * scale, e_hi * scale)

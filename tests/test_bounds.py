@@ -44,12 +44,6 @@ class TestExpBracket:
         assert lo <= ref * (1 + Fraction(1, 10 ** 12)) + Fraction(1, 10 ** 300)
         assert hi >= ref * (1 - Fraction(1, 10 ** 12))
 
-    def test_bracket_width_shrinks_with_precision(self):
-        lo1, hi1 = exp_neg_bracket(5, precision_bits=32)
-        lo2, hi2 = exp_neg_bracket(5, precision_bits=128)
-        assert hi2 - lo2 <= hi1 - lo1
-        assert lo1 <= lo2 <= hi2 <= hi1
-
     def test_exp_zero(self):
         lo, hi = exp_neg_bracket(0)
         assert lo == hi == 1

@@ -174,7 +174,10 @@ class TestExitCodes:
         {"type": "ell-cycle", "ell": "1", "order": [0, 1, 2, 3, 4, 5]},
         {"type": "decomposition", "copies": [[0, 1, "a"], [3, 4, 5]]},
         {"type": "partition", "delta": "1/2", "blocks": [[0, 1, 2], 5]},
-    ], ids=["string-order", "string-ell", "string-copy", "int-block"])
+        {"type": "decomposition", "pattern": ["3 3", "0 1 2"], "copies": [[0, 1, 2], [3, 4, 5]]},
+        {"type": "decomposition", "pattern": 3, "copies": [[0, 1, 2], [3, 4, 5]]},
+    ], ids=["string-order", "string-ell", "string-copy", "int-block", "list-pattern",
+            "int-pattern"])
     def test_non_integer_structure_field_is_2(self, tmp_path, structure):
         k6 = tmp_path / "k6.txt"
         assert main(["generate", "--family", "complete", "--n", "6", "--k", "3",
@@ -241,6 +244,22 @@ class TestExitCodes:
         for hostfile in self.stitch_hosts(tmp_path):
             assert main(["stitch", "--input", str(hostfile), "--ell", ell, "--m", "3",
                          "--delta", "1/2", "--gamma", "1/10", "--trials", "1"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["stitch", "--t", "4", "--ell", "9"],
+        ["partition", "--ell", "2", "--divisor", "3"],
+    ], ids=["stitch-t", "partition-divisor"])
+    def test_ell_beside_the_option_it_would_override_is_2(self, tmp_path, argv):
+        k24 = tmp_path / "k24.txt"
+        assert main(["generate", "--family", "complete", "--n", "24", "--k", "3",
+                     "--out", str(k24)]) == 0
+        assert main(argv + ["--input", str(k24), "--m", "6", "--delta", "1/2",
+                            "--gamma", "1/10", "--trials", "1"]) == 2
+
+    @pytest.mark.parametrize("n, t", [(9, "0"), (9, "-3"), (8, "2")])
+    def test_planted_factor_below_k_is_2(self, tmp_path, n, t):
+        assert main(["generate", "--family", "planted-factor", "--n", str(n), "--k", "3",
+                     "--t", t, "--out", str(tmp_path / "f.txt")]) == 2
 
     @pytest.mark.parametrize("divisor", ["0", "-2"])
     def test_divisor_below_one_is_2(self, tmp_path, divisor):

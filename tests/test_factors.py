@@ -22,7 +22,6 @@ from spancount import (
     matching_count_closed_form,
     matching_zero_cycle_relation,
     partition_multiplicity_bound,
-    perfect_matching,
     single_edge_spec,
     size_vector,
     stitch_factor,
@@ -102,11 +101,11 @@ class TestMatchingCounts:
 
     def test_empty_host(self):
         assert count_f_factors(empty(6, 3), single_edge_spec(3)) == 0
-        assert perfect_matching(empty(6, 3)) is None
+        assert find_f_factor(empty(6, 3), single_edge_spec(3)) is None
 
     def test_divisibility(self):
         with pytest.raises(DivisibilityError):
-            perfect_matching(complete(7, 3))
+            find_f_factor(complete(7, 3), single_edge_spec(3))
 
 
 class TestFactorSearch:

@@ -142,7 +142,7 @@ class TestBisection:
         p1, t1 = random_bisection(H, sv, spec, seed=42)
         p2, t2 = random_bisection(H, sv, spec, seed=42)
         assert p1.blocks == p2.blocks
-        assert t1.to_json() == t2.to_json()
+        assert t1 == t2
         p3, _ = random_bisection(H, sv, spec, seed=43)
         assert p3.blocks != p1.blocks
 
