@@ -231,7 +231,7 @@ def cmd_stitch(args) -> Dict:
     ]
     if args.workers > 1:
         # one chunk per worker: a chunk is pickled once, so its trials share
-        # one copy of H and the codegree index its first trial builds
+        # one copy of H; a loaded H pickles as its codegree masks alone
         chunksize = -(-args.trials // args.workers)
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             outcomes = list(pool.map(_stitch_trial, payloads, chunksize=chunksize))

@@ -1,12 +1,19 @@
 """k-uniform hypergraphs with exact degree queries.
 
 Vertices are dense integers 0..n-1 and edges are sorted k-tuples.  A
-hypergraph is immutable after construction.  Its codegree index, built
-on first use, maps each sorted (k-1)-tuple U to one int bitmask whose
-bit v is set iff U + {v} is an edge.  A degree into a vertex set S is
-then `(mask & S's mask).bit_count()`, and the searches cut their
-candidates down with `&`.  Codegree queries dominate the partition
-goodness checks.
+hypergraph is immutable after construction.  Its codegree index maps
+each sorted (k-1)-tuple U to one int bitmask whose bit v is set iff
+U + {v} is an edge.  A degree into a vertex set S is then
+`(mask & S's mask).bit_count()`, and the searches cut their candidates
+down with `&`.  Codegree queries dominate the partition goodness checks.
+
+A hypergraph keeps two stores, and one of them is primary:
+- `Hypergraph(n, k, edges)` keeps the frozenset of edges and builds the
+  masks on first use (generators and tests, which mostly write or
+  compare edges);
+- `Hypergraph.from_edge_list` parses each line straight into the masks
+  and keeps only them (every CLI command reads its host this way); the
+  edge set is derived from the masks on first use.
 
 Degrees and thresholds are exact (ints / Fractions), never floats, so
 comparisons like delta(H) >= (d + g) * n never hinge on rounding.
@@ -48,34 +55,52 @@ class Hypergraph:
             if t[0] < 0 or t[-1] >= n:
                 raise InvalidQueryError(f"edge {t} has vertices outside 0..{n - 1}")
             canon.add(t)
-        self._edges: FrozenSet[Edge] = frozenset(canon)
+        self._edges: Optional[FrozenSet[Edge]] = frozenset(canon)
         self._conbr: Dict[Edge, int] | None = None
 
     # -- basic accessors ------------------------------------------------
 
     @property
     def edges(self) -> FrozenSet[Edge]:
+        if self._edges is None:
+            # a parsed host: each edge once, as its least k-1 vertices (a key)
+            # plus a vertex of the key's mask above them
+            self._edges = frozenset(
+                u + (v,)
+                for u, m in self._conbr.items()
+                for v in mask_vertices(m >> (u[-1] + 1) << (u[-1] + 1) if u else m)
+            )
         return self._edges
 
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self.edges)
 
     def has_edge(self, vs: Iterable[int]) -> bool:
-        return tuple(sorted(vs)) in self._edges
+        if self._edges is not None:
+            return tuple(sorted(vs)) in self._edges
+        # the key is every vertex but the largest; keys hold k-1 distinct
+        # vertices and no mask has a bit of its own key, so a wrong arity or
+        # a repeated vertex finds no bit
+        u = sorted(vs)
+        try:
+            v = u.pop()
+            return self._conbr.get(tuple(u), 0) >> v & 1 == 1
+        except (IndexError, ValueError):  # no vertex, or a negative shift
+            return False
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Hypergraph)
             and self.n == other.n
             and self.k == other.k
-            and self._edges == other._edges
+            and self.edges == other.edges
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.k, self._edges))
+        return hash((self.n, self.k, self.edges))
 
     def __repr__(self) -> str:
-        return f"Hypergraph(n={self.n}, k={self.k}, |E|={len(self._edges)})"
+        return f"Hypergraph(n={self.n}, k={self.k}, |E|={self.num_edges()})"
 
     # -- degree queries -------------------------------------------------
 
@@ -115,7 +140,7 @@ class Hypergraph:
             nbrs = self._codegree_neighbours().get(tuple(sorted(u)), 0)
             return (nbrs & vertex_mask(s)).bit_count()
         count = 0
-        for e in self._edges:
+        for e in self.edges:
             es = set(e)
             if u <= es and es - u <= s:
                 count += 1
@@ -134,7 +159,7 @@ class Hypergraph:
         if len(inside) < d:
             raise InvalidQueryError(f"no {d}-subsets among {len(inside)} vertices")
         hits: Dict[Edge, int] = {}
-        for e in self._edges:
+        for e in self.edges:
             if inside.issuperset(e):
                 for s in itertools.combinations(e, d):
                     hits[s] = hits.get(s, 0) + 1
@@ -147,24 +172,57 @@ class Hypergraph:
     def to_edge_list(self) -> str:
         """Text format: first line `n k`, then one sorted edge per line."""
         lines = [f"{self.n} {self.k}"]
-        for e in sorted(self._edges):
+        for e in sorted(self.edges):
             lines.append(" ".join(str(v) for v in e))
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_edge_list(cls, text: str) -> "Hypergraph":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        """Parse the text format straight into the codegree masks.
+
+        Each edge line is checked as `__init__` checks an edge; blank,
+        unsorted and repeated lines are accepted and canonicalised.  The
+        host keeps only the masks."""
+        lines = list(filter(str.strip, text.splitlines()))
         if not lines:
             raise InvalidQueryError("empty edge-list input")
         head = lines[0].split()
         if len(head) != 2:
             raise InvalidQueryError(f"header must be 'n k', got {lines[0]!r}")
+        body = lines[1:]
         try:
             n, k = int(head[0]), int(head[1])
-            edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
+            vals = list(map(int, itertools.chain.from_iterable(map(str.split, body))))
         except ValueError as exc:
             raise InvalidQueryError(f"edge list entries must be integers: {exc}") from None
-        return cls(n, k, edges)
+        H = cls(n, k)  # checks k >= 1 and n >= 0
+        sizes = list(map(len, map(str.split, body)))
+        if sizes.count(k) < len(sizes):
+            bad = next(ln for ln, size in zip(body, sizes) if size != k)
+            raise InvalidQueryError(f"edge line {bad!r} does not hold {k} vertices")
+        # one column per edge position: column i holds each line's i-th vertex
+        cols = [vals[i::k] for i in range(k)] if vals else []
+        if not _increasing(cols):
+            cols = list(zip(*map(sorted, zip(*cols))))
+            if not _increasing(cols):
+                bad = next(e for e in zip(*cols) if len(set(e)) < k)
+                raise InvalidQueryError(f"edge {bad} is not a set of {k} distinct vertices")
+        if cols and (min(cols[0]) < 0 or max(cols[-1]) >= n):
+            bad = next(e for e in zip(*cols) if e[0] < 0 or e[-1] >= n)
+            raise InvalidQueryError(f"edge {bad} has vertices outside 0..{n - 1}")
+        nbr: Dict[Edge, int] = {}
+        get = nbr.get
+        for i, col in enumerate(cols):
+            rest = cols[:i] + cols[i + 1:]
+            for u, v in zip(zip(*rest) if rest else itertools.repeat(()), col):
+                nbr[u] = get(u, 0) | 1 << v
+        H._edges, H._conbr = None, nbr
+        return H
+
+
+def _increasing(cols) -> bool:
+    """Whether every row of the columns is strictly increasing."""
+    return all(all(map(operator.lt, a, b)) for a, b in zip(cols, cols[1:]))
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:

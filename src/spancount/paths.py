@@ -374,7 +374,7 @@ def enumerate_hamilton_ell_cycles(
     gap = k - ell
     if n % gap != 0:
         raise DivisibilityError(f"(k-ell)={gap} must divide n={n}")
-    if n < k or not H.edges:
+    if n < k or not H._codegree_neighbours():
         return 0 if mode == "count" else []
 
     windows = _windows(k, gap, n, True)

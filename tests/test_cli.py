@@ -1,6 +1,7 @@
 """Command-line interface: determinism, formats, and exit codes."""
 
 import csv
+import hashlib
 import json
 from fractions import Fraction
 
@@ -38,6 +39,14 @@ class TestGenerate:
             assert main(["generate", "--family", "binomial", "--n", "20", "--k", "3",
                          "--p", "1/2", "--seed", "7", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_binomial_bytes_are_pinned(self, tmp_path):
+        # every generated workload host goes through this path: its bytes must not move
+        out = tmp_path / "g.txt"
+        assert main(["generate", "--family", "binomial", "--n", "24", "--k", "3",
+                     "--p", "1/2", "--seed", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "eb8f4204dc3776f98f7d5727890e5be4f5b55cfc2fe106a958bee31087f0116f")
 
     def test_never_overwrites(self, tmp_path, capsys):
         out = tmp_path / "h.txt"
@@ -151,6 +160,43 @@ class TestExitCodes:
         bad = tmp_path / "bad.txt"
         bad.write_text("4 3\n0 1 x\n")
         assert main(["count", "--input", str(bad), "--ell", "2"]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "6 3\n0 1\n",
+        "6 3\n0 1 2 3\n",
+        "6 3\n0 1 1\n",
+        "6 3\n0 1 6\n",
+        "6 3\n-1 0 1\n",
+        "6 3\n0 1 2.5\n",
+        "6\n0 1 2\n",
+        "6 3 1\n0 1 2\n",
+        "6 k\n0 1 2\n",
+        "6 0\n",
+        "-1 3\n",
+        "",
+        "\n  \n\n",
+    ], ids=["k-1-entries", "k+1-entries", "repeated-vertex", "vertex-n", "vertex-minus-1",
+            "non-integer-entry", "one-field-header", "three-field-header",
+            "non-integer-header", "k-zero", "n-minus-1", "empty", "blank-lines-only"])
+    def test_malformed_edge_list_is_2(self, tmp_path, text):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(["count", "--input", str(bad), "--ell", "2"]) == 2
+
+    @pytest.mark.parametrize("text, edges", [
+        ("6 3\n0 1 2\n\n   \n1 2 3\n", [(0, 1, 2), (1, 2, 3)]),
+        ("6 3\n2 0 1\n3 5 4\n", [(0, 1, 2), (3, 4, 5)]),
+        ("6 3\n0 1 2\n1 2 3\n0 1 2\n2 1 0\n", [(0, 1, 2), (1, 2, 3)]),
+        ("6 3\n", []),
+    ], ids=["blank-lines-between-edges", "unsorted-line", "duplicated-line", "header-only"])
+    def test_lenient_edge_list_loads_the_canonical_host(self, tmp_path, text, edges):
+        path = tmp_path / "host.txt"
+        path.write_text(text)
+        out = tmp_path / "r.json"
+        assert main(["count", "--input", str(path), "--ell", "2", "--out", str(out)]) == 0
+        H = cli._load_host(str(path))
+        assert H == Hypergraph(6, 3, edges)
+        assert H.to_edge_list() == "6 3\n" + "".join(f"{a} {b} {c}\n" for a, b, c in edges)
 
     def test_non_numeric_delta_is_2(self, tmp_path):
         k6 = tmp_path / "k6.txt"

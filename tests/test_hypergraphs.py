@@ -11,10 +11,16 @@ from spancount import (
     GoodnessSpec,
     Hypergraph,
     InvalidQueryError,
+    check_good,
     complete,
     dirac_threshold,
     empty,
+    enumerate_hamilton_ell_cycles,
     gen_random,
+    random_bisection,
+    size_vector,
+    stitch_cycle,
+    stitch_power_cycle,
 )
 
 
@@ -126,6 +132,89 @@ class TestSerialization:
     @given(random_hosts())
     def test_edge_list_roundtrip(self, H):
         assert Hypergraph.from_edge_list(H.to_edge_list()) == H
+
+
+@st.composite
+def edge_list_texts(draw):
+    """(n, k, edges, text): the host's edge list with its lines shuffled, the
+    vertices of each line permuted, some lines repeated and blank lines between."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 9))
+    edges = [e for e in itertools.combinations(range(n), k) if draw(st.booleans())]
+    lines = [
+        draw(st.sampled_from([" ", "  ", "\t"])).join(map(str, draw(st.permutations(e))))
+        for e in edges
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    text = [f"{n} {k}"]
+    for line in draw(st.permutations(lines)):
+        text += draw(st.lists(st.sampled_from(["", "  "]), max_size=1)) + [line]
+    return n, k, edges, "\n".join(text) + "\n"
+
+
+def bad_queries(n, k):
+    """Vertex tuples that are never edges: a negative vertex, vertex n, a
+    repeated vertex, the wrong arity and the empty tuple."""
+    return [
+        (-1,) + tuple(range(k - 1)),
+        tuple(range(-k, 0)),
+        tuple(range(k - 1)) + (n,),
+        (0,) * max(k, 2),
+        tuple(range(k + 1)),
+        tuple(range(k - 1)),
+        (),
+    ]
+
+
+class TestParsedHost:
+    """A host parsed from an edge list keeps only its codegree masks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_list_texts(), st.data())
+    def test_parsed_host_equals_constructed_host(self, case, data):
+        n, k, edges, text = case
+        H = Hypergraph.from_edge_list(text)
+        ref = Hypergraph(n, k, edges)
+        # mask-only queries first, while H has no edge set
+        for e in itertools.combinations(range(n), k):
+            assert H.has_edge(e) == ref.has_edge(e)
+            assert H.has_edge(reversed(e)) == ref.has_edge(e)
+        for G in (H, ref):
+            for q in bad_queries(n, k):
+                assert G.has_edge(q) is False
+        for U in itertools.combinations(range(n), k - 1):
+            assert H.codegree_set(U) == ref.codegree_set(U)
+            rest = sorted(set(range(n)) - set(U))
+            S = data.draw(st.sets(st.sampled_from(rest))) if rest else set()
+            assert H.degree(U, S) == ref.degree(U, S)
+        shipped = pickle.loads(pickle.dumps(H))
+        assert H._edges is None and shipped._edges is None
+        assert shipped == ref
+        # the derived edge set
+        assert H.edges == ref.edges
+        assert H.num_edges() == ref.num_edges()
+        assert H == ref and hash(H) == hash(ref)
+        assert H.to_edge_list().encode() == ref.to_edge_list().encode()
+        if k >= 2 and n >= 1:
+            U = (data.draw(st.integers(0, n - 1)),)
+            S = set(range(n)) - set(U)
+            assert H.degree(U, S) == ref.degree(U, S)
+        assert pickle.loads(pickle.dumps(H)) == ref
+
+    def test_pipeline_never_derives_the_edge_set(self):
+        H = Hypergraph.from_edge_list(complete(24, 3).to_edge_list())
+        sv = size_vector(24, 6, 1, 3)
+        spec = GoodnessSpec(Fraction(1, 2), Fraction(1, 10))
+        part, _ = random_bisection(H, sv, spec, seed=3)
+        assert check_good(H, part, spec.delta + spec.gamma / 2, sizes=sv.sizes).good
+        assert stitch_cycle(H, part, 2) is not None
+        assert stitch_power_cycle(H, part, 4) is not None
+        small = Hypergraph.from_edge_list(complete(7, 3).to_edge_list())
+        assert enumerate_hamilton_ell_cycles(small, 2) == 360
+        edgeless = Hypergraph.from_edge_list("6 3\n")
+        assert enumerate_hamilton_ell_cycles(edgeless, 2) == 0
+        for G in (H, small, edgeless):
+            assert G._edges is None
 
 
 class TestDiracThreshold:
