@@ -15,6 +15,11 @@ A hypergraph keeps two stores, and one of them is primary:
   and keeps only them (every CLI command reads its host this way); the
   edge set is derived from the masks on first use.
 
+`has_edge` tests one mask bit on either kind of host.  A mask is as wide
+as its largest vertex, so on a dense host (the paper's setting) the
+masks are smaller than the edge set, but a sparse host with large n
+pays up to k * |E| * n / 8 bytes for them.
+
 Degrees and thresholds are exact (ints / Fractions), never floats, so
 comparisons like delta(H) >= (d + g) * n never hinge on rounding.
 """
@@ -76,15 +81,13 @@ class Hypergraph:
         return len(self.edges)
 
     def has_edge(self, vs: Iterable[int]) -> bool:
-        if self._edges is not None:
-            return tuple(sorted(vs)) in self._edges
         # the key is every vertex but the largest; keys hold k-1 distinct
         # vertices and no mask has a bit of its own key, so a wrong arity or
         # a repeated vertex finds no bit
         u = sorted(vs)
         try:
             v = u.pop()
-            return self._conbr.get(tuple(u), 0) >> v & 1 == 1
+            return self._codegree_neighbours().get(tuple(u), 0) >> v & 1 == 1
         except (IndexError, ValueError):  # no vertex, or a negative shift
             return False
 
@@ -100,7 +103,7 @@ class Hypergraph:
         return hash((self.n, self.k, self.edges))
 
     def __repr__(self) -> str:
-        return f"Hypergraph(n={self.n}, k={self.k}, |E|={self.num_edges()})"
+        return f"Hypergraph(n={self.n}, k={self.k})"
 
     # -- degree queries -------------------------------------------------
 
@@ -108,13 +111,7 @@ class Hypergraph:
         """Map each (k-1)-subset U of an edge to the bitmask of the vertices
         v completing it: bit v is set iff U + {v} is an edge."""
         if self._conbr is None:
-            nbr: Dict[Edge, int] = {}
-            get = nbr.get
-            for e in self._edges:
-                for i in range(self.k):
-                    u = e[:i] + e[i + 1:]
-                    nbr[u] = get(u, 0) | 1 << e[i]
-            self._conbr = nbr
+            self._conbr = _masks(list(zip(*self._edges)))
         return self._conbr
 
     def codegree_set(self, U: Iterable[int]) -> set:
@@ -189,40 +186,54 @@ class Hypergraph:
         head = lines[0].split()
         if len(head) != 2:
             raise InvalidQueryError(f"header must be 'n k', got {lines[0]!r}")
-        body = lines[1:]
         try:
             n, k = int(head[0]), int(head[1])
-            vals = list(map(int, itertools.chain.from_iterable(map(str.split, body))))
+        except ValueError:
+            raise InvalidQueryError(f"header must be two integers 'n k', got {lines[0]!r}") from None
+        H = cls(n, k)  # checks k >= 1 and n >= 0
+
+        def entries(line: str) -> list:
+            row = line.split()
+            if len(row) != k:
+                raise InvalidQueryError(f"edge line {line!r} does not hold {k} vertices")
+            return row
+
+        try:
+            vals = list(map(int, itertools.chain.from_iterable(map(entries, lines[1:]))))
+        except InvalidQueryError:
+            raise
         except ValueError as exc:
             raise InvalidQueryError(f"edge list entries must be integers: {exc}") from None
-        H = cls(n, k)  # checks k >= 1 and n >= 0
-        sizes = list(map(len, map(str.split, body)))
-        if sizes.count(k) < len(sizes):
-            bad = next(ln for ln, size in zip(body, sizes) if size != k)
-            raise InvalidQueryError(f"edge line {bad!r} does not hold {k} vertices")
-        # one column per edge position: column i holds each line's i-th vertex
-        cols = [vals[i::k] for i in range(k)] if vals else []
+        # column i holds each line's i-th vertex; lines are mostly sorted
+        # already, so only sort them all when some line is not
+        cols = [vals[i::k] for i in range(k)]
         if not _increasing(cols):
             cols = list(zip(*map(sorted, zip(*cols))))
             if not _increasing(cols):
                 bad = next(e for e in zip(*cols) if len(set(e)) < k)
                 raise InvalidQueryError(f"edge {bad} is not a set of {k} distinct vertices")
-        if cols and (min(cols[0]) < 0 or max(cols[-1]) >= n):
+        if vals and (min(cols[0]) < 0 or max(cols[-1]) >= n):
             bad = next(e for e in zip(*cols) if e[0] < 0 or e[-1] >= n)
             raise InvalidQueryError(f"edge {bad} has vertices outside 0..{n - 1}")
-        nbr: Dict[Edge, int] = {}
-        get = nbr.get
-        for i, col in enumerate(cols):
-            rest = cols[:i] + cols[i + 1:]
-            for u, v in zip(zip(*rest) if rest else itertools.repeat(()), col):
-                nbr[u] = get(u, 0) | 1 << v
-        H._edges, H._conbr = None, nbr
+        H._edges, H._conbr = None, _masks(cols)
         return H
 
 
 def _increasing(cols) -> bool:
     """Whether every row of the columns is strictly increasing."""
     return all(all(map(operator.lt, a, b)) for a, b in zip(cols, cols[1:]))
+
+
+def _masks(cols) -> Dict[Edge, int]:
+    """The codegree masks of the sorted edges whose i-th vertices form
+    column i: each edge sets bit e[i] in the mask of e without e[i]."""
+    nbr: Dict[Edge, int] = {}
+    get = nbr.get
+    for i, col in enumerate(cols):
+        rest = cols[:i] + cols[i + 1:]
+        for u, v in zip(zip(*rest) if rest else itertools.repeat(()), col):
+            nbr[u] = get(u, 0) | 1 << v
+    return nbr
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
