@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import AbstractSet, Iterable, Optional, Sequence, Tuple
 
 from .errors import InvalidQueryError, InvalidStructureError
 from .hypergraphs import Hypergraph, vertex_mask
@@ -58,7 +58,16 @@ def can_absorb(
         claimed |= s
     if not claimed:
         return P
-    target = pv | claimed
+    return _absorbing_path(H, P, claimed, budget)
+
+
+def _absorbing_path(
+    H: Hypergraph, P: EllPath, claimed: AbstractSet[int], budget: Optional[int]
+) -> Optional[EllPath]:
+    """`can_absorb`'s witness search, without its input checks: P must be
+    an ell-path of H and `claimed` a non-empty vertex set disjoint from
+    V(P), the union of the sets to absorb."""
+    target = set(P.order) | claimed
     ends = P.ends()
     order = _search_path(
         H, P.ell, ends.a, ends.b, len(target), sorted(target), _Budget(budget)
@@ -93,10 +102,12 @@ def classify_set(
             f"no ell-path has t_abs = {t} vertices: (k-ell) must divide t_abs - ell"
         )
     counter = _Budget(budget)
+    # the masks keep S off every position, so each path found is a valid
+    # ell-path of H disjoint from S: `can_absorb`'s input checks hold
     allowed = (vertex_mask(range(H.n)) & ~vertex_mask(s),) * t
     count = 0
     for order in _ordered_search(H, _windows(k, k - ell, t, False), t, allowed, counter):
-        if can_absorb(H, EllPath(order, k, ell), [s]) is not None:
+        if _absorbing_path(H, EllPath(order, k, ell), s, None) is not None:
             count += 1
     good = count >= cfg.beta * H.n ** t
     return count, good

@@ -18,7 +18,7 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .errors import InvalidQueryError
+from .errors import DivisibilityError, InvalidQueryError
 
 
 @dataclass(frozen=True)
@@ -143,18 +143,39 @@ def expected_random_count(
     n: int, k: int, ell: int, delta, budget: Optional[int] = None
 ) -> CountBound:
     """Psi_{k,ell}(n, delta): expected Hamilton ell-cycle count in the
-    binomial random k-graph, as (complete-host count) * delta^(n/(k-ell)).
+    binomial random k-graph, as (complete-host count) * delta^|E(C)|.
 
-    The complete-host count comes from the exact enumerator, so n must
-    stay inside its exhaustive budget; each Hamilton ell-cycle has
-    exactly n/(k-ell) edges.
+    The Hamilton ell-cycles of K_n^(k) are the images of one of them, W
+    (the cyclic window layout on 0..n-1, as a host), under the n!
+    permutations, so there are n!/|Aut(W)| of them.  An ordering whose
+    windows are all edges of W is an automorphism; the cyclic search
+    finds those with vertex 0 at a phase position, and rotation by k-ell
+    moves any automorphism onto exactly one of them, freely, so
+    |Aut(W)| = (n/(k-ell)) * (orderings found).  That search is a subtree
+    of the one that would enumerate K_n's cycles, so `budget` bounds it
+    as it would the enumeration.  |E(C)| is W's count of distinct
+    windows: n/(k-ell), except at n = k, where every window is the one
+    edge.
     """
-    from .hypergraphs import complete
-    from .paths import enumerate_hamilton_ell_cycles
+    from .hypergraphs import Hypergraph
+    from .paths import _Budget, _cycle_orders, _windows
 
     delta = Fraction(delta)
     if not 0 <= delta <= 1:
         raise InvalidQueryError(f"delta = {delta} must lie in [0, 1]")
-    count = enumerate_hamilton_ell_cycles(complete(n, k), ell, mode="count", budget=budget)
-    value = count * delta ** (n // (k - ell))
-    return count_bound_from_exact(value)
+    if n < 0:
+        raise InvalidQueryError(f"vertex count n={n} must be >= 0")
+    if not 0 <= ell < k:
+        raise InvalidQueryError(f"need 0 <= ell < k, got ell={ell}, k={k}")
+    gap = k - ell
+    if n % gap != 0:
+        raise DivisibilityError(f"(k-ell)={gap} must divide n={n}")
+    if n < k:
+        return count_bound_from_exact(Fraction(0))
+    windows = _windows(k, gap, n, True)
+    W = Hypergraph(n, k, windows)
+    automorphisms = n // gap * sum(
+        1 for _ in _cycle_orders(W, (range(n),), windows, gap, _Budget(budget))
+    )
+    count = math.factorial(n) // automorphisms
+    return count_bound_from_exact(count * delta ** W.num_edges())

@@ -7,16 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spancount import (
+    BudgetExceededError,
     CountBound,
+    DivisibilityError,
     InvalidQueryError,
     RationalBracket,
+    complete,
     count_bound_from_exact,
+    enumerate_hamilton_ell_cycles,
     exp_neg_bracket,
     expected_random_count,
     log_bracket,
     multinomial,
     log_growth_bound,
 )
+from spancount.paths import _Budget, _cycle_orders, _windows
 
 
 class TestRationalBracket:
@@ -118,6 +123,27 @@ class TestCountBound:
         assert b.log_value is None and b.exact_value == 0
 
 
+# every (n, k, ell) with 2 <= k <= 5, 0 <= ell < k, k <= n <= 8 and (k-ell) | n
+SMALL_CYCLES = [
+    (n, k, ell)
+    for k in range(2, 6)
+    for ell in range(k)
+    for n in range(k, 9)
+    if n % (k - ell) == 0
+]
+
+
+def enumeration_nodes(n, k, ell):
+    """Search nodes that enumerating K_n^(k)'s Hamilton ell-cycles spends:
+    the least budget under which the enumeration completes."""
+    limit = 10 ** 12
+    budget = _Budget(limit)
+    gap = k - ell
+    for _ in _cycle_orders(complete(n, k), (range(n),), _windows(k, gap, n, True), gap, budget):
+        pass
+    return limit - budget.remaining
+
+
 class TestExpectedRandomCount:
     def test_K5_half(self):
         # complete 5-cycle count 12, five edges at density 1/2: 12/32
@@ -135,3 +161,44 @@ class TestExpectedRandomCount:
     def test_rejects_bad_density(self):
         with pytest.raises(InvalidQueryError):
             expected_random_count(5, 2, 1, Fraction(3, 2))
+
+    def test_one_window_cycle_has_one_edge(self):
+        # at n = k every window is the whole vertex set: one edge, not n/(k-ell)
+        assert expected_random_count(3, 3, 2, Fraction(1, 2)).exact_value == Fraction(1, 2)
+        assert expected_random_count(4, 4, 3, Fraction(1, 2)).exact_value == Fraction(1, 2)
+        assert expected_random_count(4, 4, 2, Fraction(1, 3)).exact_value == Fraction(1, 3)
+
+    def test_query_errors(self):
+        with pytest.raises(InvalidQueryError):
+            expected_random_count(6, 3, 3, Fraction(1, 2))
+        with pytest.raises(InvalidQueryError):
+            expected_random_count(6, 3, -1, Fraction(1, 2))
+        with pytest.raises(DivisibilityError):
+            expected_random_count(7, 3, 1, Fraction(1, 2))
+        assert expected_random_count(2, 3, 2, Fraction(1, 2)).exact_value == 0
+
+    def test_grid_holds_the_points_where_class_products_fail(self):
+        # n! / (2q * product of window-class factorials) is wrong exactly here
+        points = {(4, 3, 1), (4, 3, 2), (6, 4, 1), (5, 4, 3), (8, 5, 1), (6, 5, 2), (6, 5, 4)}
+        assert points <= set(SMALL_CYCLES)
+
+    @pytest.mark.parametrize("n,k,ell", SMALL_CYCLES)
+    def test_orbit_count_is_the_enumerated_count(self, n, k, ell):
+        want = enumerate_hamilton_ell_cycles(complete(n, k), ell)
+        assert expected_random_count(n, k, ell, 1).exact_value == want
+
+    @pytest.mark.parametrize("n,k,ell,want", [
+        # enumerated once on K_10^(k); too slow to enumerate in the suite
+        (10, 2, 1, 181440), (10, 3, 1, 362880), (10, 4, 2, 11340), (10, 5, 3, 362880),
+    ])
+    def test_orbit_count_at_n10(self, n, k, ell, want):
+        assert expected_random_count(n, k, ell, 1).exact_value == want
+
+    @pytest.mark.parametrize("n,k,ell", SMALL_CYCLES)
+    def test_fits_any_budget_the_enumeration_fits(self, n, k, ell):
+        nodes = enumeration_nodes(n, k, ell)
+        K = complete(n, k)
+        enumerate_hamilton_ell_cycles(K, ell, budget=nodes)
+        with pytest.raises(BudgetExceededError):
+            enumerate_hamilton_ell_cycles(K, ell, budget=nodes - 1)
+        assert expected_random_count(n, k, ell, 1, budget=nodes).exact_value > 0

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -341,6 +342,24 @@ class TestStitchTrial:
             assert cli._stitch_trial(payload) == (True, False, None)
             seed = derive_seed(11, "bisect", trial)
             assert stitched[-1] == random_bisection(H, sv, spec, seed)[0]
+
+
+class TestCountCommand:
+    def test_expected_random_count_beyond_enumeration(self, tmp_path):
+        # the host's own search and Psi's search each spend 1,120 nodes; enumerating
+        # K_24^(3)'s Hamilton 1-cycles would exhaust the budget
+        hostfile = tmp_path / "pc.txt"
+        assert main(["generate", "--family", "planted-cycle", "--n", "24", "--k", "3",
+                     "--ell", "1", "--out", str(hostfile)]) == 0
+        out = tmp_path / "r.json"
+        assert main(["count", "--input", str(hostfile), "--ell", "1", "--delta", "1/2",
+                     "--budget", "2000", "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert results["count"] == 1
+        # 24!/24 Hamilton 1-cycles in K_24^(3), each with 12 edges
+        assert results["expected_random"]["exact"] == "6311527524141840000"
+        assert Fraction(results["expected_random"]["exact"]) == (
+            Fraction(math.factorial(24), 24) / 2 ** 12)
 
 
 class TestFactorsCommand:
