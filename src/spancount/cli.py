@@ -195,10 +195,13 @@ def _stitch_trial(payload) -> tuple:
     report = check_good(H, part, target, sizes=sv.sizes, max_violations=1)
     if not report.good:
         return (False, False, None)
-    if power_mode:
-        cert = stitch_power_cycle(H, part, param, node_budget=budget)
-    else:
-        cert = stitch_cycle(H, part, param, node_budget=budget)
+    stitch = stitch_power_cycle if power_mode else stitch_cycle
+    try:
+        cert = stitch(H, part, param, node_budget=budget)
+    except BudgetExceededError:
+        raise BudgetExceededError(
+            f"search budget {budget} exhausted in stitch trial {trial}; result invalid"
+        ) from None
     return (True, cert is not None, cert.to_json() if cert is not None else None)
 
 

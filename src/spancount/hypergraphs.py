@@ -11,9 +11,24 @@ A hypergraph keeps two stores, and one of them is primary:
 - `Hypergraph(n, k, edges)` keeps the frozenset of edges and builds the
   masks on first use (generators and tests, which mostly write or
   compare edges);
-- `Hypergraph.from_edge_list` parses each line straight into the masks
+- `Hypergraph.from_edge_list` parses the text straight into the masks
   and keeps only them (every CLI command reads its host this way); the
   edge set is derived from the masks on first use.
+
+`from_edge_list` tokenizes text laid out exactly as `to_edge_list` (and
+so `generate`) writes it in newline-aligned chunks: a chunk whose lines
+are not k decimal entries joined by single spaces, or an entry outside
+a table of the names of 0..n-1, sends the whole text to the
+line-by-line reader, whose messages name the fault.  The table is built
+only when the text holds at least n entries.  Both readers share the
+column checks that follow.
+
+Both stores build their masks with one of two builders, picked by the
+input alone.  When n**k is at most `_CELLS_PER_EDGE` (32) bytes per
+edge line, with n one more than the largest vertex, the masks are read
+off a transient n**k-byte edge indicator, k strided slices per mask;
+otherwise each edge sets its k bits one at a time, so a sparse host or
+one with large n costs no n**k bytes.
 
 `has_edge` tests one mask bit on either kind of host.  A mask is as wide
 as its largest vertex, so on a dense host (the paper's setting) the
@@ -26,6 +41,7 @@ comparisons like delta(H) >= (d + g) * n never hinge on rounding.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -38,6 +54,16 @@ from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 from .errors import InvalidQueryError
 
 Edge = Tuple[int, ...]
+
+# Canonical text is tokenized in newline-aligned chunks of about this many
+# characters: loading n128k3 (331k lines) peaked at +14 MB, against +79 MB
+# with one token list for the whole text and +36 MB reading line by line.
+_CHUNK = 1 << 18
+
+# The edge indicator's n**k bytes stay within this many per edge line: the
+# per-edge builder was faster from about 40 cells per edge at k = 3 (n = 96,
+# 128) and 32 at k = 2; n128k3, n96k3 and n48k4 at p = 0.97 need 6.3, 6.4, 28.
+_CELLS_PER_EDGE = 32
 
 
 class Hypergraph:
@@ -180,6 +206,64 @@ class Hypergraph:
         Each edge line is checked as `__init__` checks an edge; blank,
         unsorted and repeated lines are accepted and canonicalised.  The
         host keeps only the masks."""
+        H, vals = cls._canonical_entries(text) or cls._entries_by_line(text)
+        k = H.k
+        # column i holds each line's i-th vertex; lines are mostly sorted
+        # already, so only sort them all when some line is not
+        cols = [vals[i::k] for i in range(k)]
+        del vals  # freed before the masks are built, which lowers the load's peak
+        if not _increasing(cols):
+            cols = list(zip(*map(sorted, zip(*cols))))
+            if not _increasing(cols):
+                bad = next(e for e in zip(*cols) if len(set(e)) < k)
+                raise InvalidQueryError(f"edge {bad} is not a set of {k} distinct vertices")
+        if cols[0] and (min(cols[0]) < 0 or max(cols[-1]) >= H.n):
+            bad = next(e for e in zip(*cols) if e[0] < 0 or e[-1] >= H.n)
+            raise InvalidQueryError(f"edge {bad} has vertices outside 0..{H.n - 1}")
+        H._edges, H._conbr = None, _masks(cols)
+        return H
+
+    @classmethod
+    def _canonical_entries(cls, text: str) -> Optional[Tuple["Hypergraph", list]]:
+        """The edgeless host and the flat entry list of text exactly as
+        `to_edge_list` writes it: the header `n k`, then lines of k decimal
+        vertices below n joined by single spaces, each ended by a newline
+        but maybe the last.  None for any other text."""
+        head, _, body = text.partition("\n")
+        try:
+            n, k = map(int, head.split(" "))
+        except ValueError:
+            return None
+        stop = len(body) - body.endswith("\n")
+        # the vertex table costs n entries, so the input must hold at least as many
+        if head != f"{n} {k}" or k < 1 or not 0 <= n <= k * (body.count("\n", 0, stop) + 1):
+            return None
+        table = {str(v): v for v in range(n)}
+        # what is left of a line without its digits: k-1 spaces, a newline
+        layout = b" " * (k - 1) + b"\n"
+        vals: list = []
+        start = 0
+        while start < stop:
+            end = body.find("\n", start + _CHUNK, stop)
+            if end < 0:
+                end = stop
+            chunk = body[start:end]
+            if not chunk.isascii():
+                return None
+            seps = chunk.encode().translate(None, b"0123456789") + b"\n"
+            if seps != layout * seps.count(b"\n"):
+                return None
+            try:
+                vals += map(table.__getitem__, chunk.replace("\n", " ").split(" "))
+            except KeyError:  # an empty entry, a leading zero, or n and above
+                return None
+            start = end + 1
+        return cls(n, k), vals
+
+    @classmethod
+    def _entries_by_line(cls, text: str) -> Tuple["Hypergraph", list]:
+        """The edgeless host of any accepted text's header, and its entries
+        read line by line, with a message that names the first fault."""
         lines = list(filter(str.strip, text.splitlines()))
         if not lines:
             raise InvalidQueryError("empty edge-list input")
@@ -199,24 +283,11 @@ class Hypergraph:
             return row
 
         try:
-            vals = list(map(int, itertools.chain.from_iterable(map(entries, lines[1:]))))
+            return H, list(map(int, itertools.chain.from_iterable(map(entries, lines[1:]))))
         except InvalidQueryError:
             raise
         except ValueError as exc:
             raise InvalidQueryError(f"edge list entries must be integers: {exc}") from None
-        # column i holds each line's i-th vertex; lines are mostly sorted
-        # already, so only sort them all when some line is not
-        cols = [vals[i::k] for i in range(k)]
-        if not _increasing(cols):
-            cols = list(zip(*map(sorted, zip(*cols))))
-            if not _increasing(cols):
-                bad = next(e for e in zip(*cols) if len(set(e)) < k)
-                raise InvalidQueryError(f"edge {bad} is not a set of {k} distinct vertices")
-        if vals and (min(cols[0]) < 0 or max(cols[-1]) >= n):
-            bad = next(e for e in zip(*cols) if e[0] < 0 or e[-1] >= n)
-            raise InvalidQueryError(f"edge {bad} has vertices outside 0..{n - 1}")
-        H._edges, H._conbr = None, _masks(cols)
-        return H
 
 
 def _increasing(cols) -> bool:
@@ -227,12 +298,53 @@ def _increasing(cols) -> bool:
 def _masks(cols) -> Dict[Edge, int]:
     """The codegree masks of the sorted edges whose i-th vertices form
     column i: each edge sets bit e[i] in the mask of e without e[i]."""
+    if not cols or not cols[0]:
+        return {}
+    if (max(cols[-1]) + 1) ** len(cols) <= _CELLS_PER_EDGE * len(cols[0]):
+        return _indicator_masks(cols)
+    return _edge_masks(cols)
+
+
+def _edge_masks(cols) -> Dict[Edge, int]:
+    """`_masks` one edge at a time."""
     nbr: Dict[Edge, int] = {}
     get = nbr.get
     for i, col in enumerate(cols):
         rest = cols[:i] + cols[i + 1:]
         for u, v in zip(zip(*rest) if rest else itertools.repeat(()), col):
             nbr[u] = get(u, 0) | 1 << v
+    return nbr
+
+
+def _indicator_masks(cols) -> Dict[Edge, int]:
+    """`_masks` from the edge indicator S over vertices 0..n-1, n one more
+    than the largest: byte e[0]*n**(k-1) + ... + e[k-1] of S is b"1" iff e
+    is an edge.  The mask of U reads U + {v} for all v at once, as one
+    strided slice of S for each gap of U that v can fall in, with b"0" at
+    U's own vertices; base 2 is exempt from int's digit limit."""
+    k = len(cols)
+    n = max(cols[-1]) + 1
+    S = bytearray(b"0") * n**k
+    index = cols[0]
+    for col in cols[1:]:
+        index = map(operator.add, map(operator.mul, index, itertools.repeat(n)), col)
+    collections.deque(map(S.__setitem__, index, itertools.repeat(ord("1"))), maxlen=0)
+    # the weight of each position of a sorted edge
+    weight = [n ** (k - 1 - i) for i in range(k)]
+    # with v in gap j of U, u[i] has weight[i] below j and weight[i + 1] from it
+    shift = [a - b for a, b in zip(weight, weight[1:])] + [0]
+    nbr: Dict[Edge, int] = {}
+    for u in itertools.combinations(range(n), k - 1):
+        base = sum(map(operator.mul, u, weight[1:]))
+        gaps = []
+        lo = 0
+        for hi, w, d in zip(u + (n,), weight, shift):
+            gaps.append(S[base + lo * w : base + hi * w : w])
+            base += hi * d
+            lo = hi + 1
+        m = int(b"0".join(gaps)[::-1], 2)
+        if m:
+            nbr[u] = m
     return nbr
 
 

@@ -184,12 +184,31 @@ class TestExitCodes:
         bad.write_text(text)
         assert main(["count", "--input", str(bad), "--ell", "2"]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("4 3\n0 1 2 3\n1 2\n", "edge line '0 1 2 3' does not hold 3 vertices"),
+        ("4 3\n0 1 2\n1 2 4\n", "edge (1, 2, 4) has vertices outside 0..3"),
+        ("4 3\n0 1 2\n-1 0 1\n", "edge (-1, 0, 1) has vertices outside 0..3"),
+        ("4 3\n0 1 2\n1 1 2\n", "edge (1, 1, 2) is not a set of 3 distinct vertices"),
+        ("4 3\n0 1 2\n0 1 x\n", "edge list entries must be integers"),
+    ], ids=["k+1-beside-k-1-entries", "vertex-n", "vertex-minus-1", "repeated-vertex",
+            "non-integer-entry"])
+    def test_malformed_text_laid_out_canonically_names_its_fault(self, tmp_path, capsys,
+                                                                 text, message):
+        # each text holds at least n entries, so its tokens are looked up
+        # before it is read again line by line
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(["count", "--input", str(bad), "--ell", "2"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("text, edges", [
         ("6 3\n0 1 2\n\n   \n1 2 3\n", [(0, 1, 2), (1, 2, 3)]),
         ("6 3\n2 0 1\n3 5 4\n", [(0, 1, 2), (3, 4, 5)]),
         ("6 3\n0 1 2\n1 2 3\n0 1 2\n2 1 0\n", [(0, 1, 2), (1, 2, 3)]),
         ("6 3\n", []),
-    ], ids=["blank-lines-between-edges", "unsorted-line", "duplicated-line", "header-only"])
+        ("6 3\n0 1 2\n1 2 3", [(0, 1, 2), (1, 2, 3)]),
+    ], ids=["blank-lines-between-edges", "unsorted-line", "duplicated-line", "header-only",
+            "no-final-newline"])
     def test_lenient_edge_list_loads_the_canonical_host(self, tmp_path, text, edges):
         path = tmp_path / "host.txt"
         path.write_text(text)
@@ -269,6 +288,20 @@ class TestExitCodes:
                 "--gamma", "1/10", "--trials", "2"]
         assert main(argv + ["--budget", "23"]) == 3  # 24 positions, one node each
         assert main(argv + ["--budget", "24"]) == 0
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_stitch_budget_exhaustion_names_the_trial(self, tmp_path, capsys, workers):
+        # trials 0-2 stitch within 24 nodes, trial 3 needs 34
+        path = tmp_path / "h.txt"
+        assert main(["generate", "--family", "binomial", "--n", "24", "--k", "3",
+                     "--p", "0.9", "--seed", "3", "--out", str(path)]) == 0
+        capsys.readouterr()
+        argv = ["stitch", "--input", str(path), "--ell", "2", "--m", "6", "--delta", "0",
+                "--gamma", "1/10", "--seed", "1", "--trials", "4", "--workers", workers]
+        assert main(argv + ["--budget", "30"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: search budget 30 exhausted in stitch trial 3; result invalid\n"
+        assert main(argv + ["--budget", "34", "--out", str(tmp_path / "r.json")]) == 0
 
     @staticmethod
     def stitch_hosts(tmp_path):

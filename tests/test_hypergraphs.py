@@ -2,7 +2,10 @@
 
 import itertools
 import pickle
+import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +25,8 @@ from spancount import (
     stitch_cycle,
     stitch_power_cycle,
 )
+from spancount import hypergraphs
+from spancount.hypergraphs import _edge_masks, _indicator_masks
 
 
 def brute_degree(H, U, S):
@@ -132,6 +137,75 @@ class TestSerialization:
     @given(random_hosts())
     def test_edge_list_roundtrip(self, H):
         assert Hypergraph.from_edge_list(H.to_edge_list()) == H
+
+
+@st.composite
+def canonical_and_perturbed(draw):
+    """(n, k, edges, canonical, perturbed): `canonical` is laid out exactly as
+    `to_edge_list` writes, with some lines repeated; `perturbed` is the same
+    host with tabs, blank lines, permuted vertices and a leading zero."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 12))
+    p = draw(st.sampled_from([0, 0.1, 0.5, 0.9, 1]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = [e for e in itertools.combinations(range(n), k) if rng.random() < p]
+    rows = sorted(edges + rng.sample(edges, min(len(edges), draw(st.integers(0, 3)))))
+    canonical = "".join(f"{' '.join(map(str, e))}\n" for e in [(n, k)] + rows)
+    lines = [f"{n}\t{k}", ""] + ["\t".join(map(str, rng.sample(e, k))) for e in rows]
+    if rows:
+        lines[2] = "0" + lines[2]
+    return n, k, edges, canonical, "\n".join(lines) + "\n"
+
+
+class TestCanonicalText:
+    """Text as `to_edge_list` writes it takes a tokenizing fast path; any
+    other text is read line by line.  Both give the same host."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(canonical_and_perturbed())
+    def test_both_loader_paths_agree(self, case):
+        n, k, edges, canonical, perturbed = case
+        # the fast path builds a table of n vertex names only when the input
+        # holds at least n entries
+        rows = canonical.count("\n") - 1
+        entries = [int(v) for line in canonical.splitlines()[1:] for v in line.split()]
+        for chunk in (1, 7, hypergraphs._CHUNK):
+            # a chunk ends at the first newline `chunk` characters on
+            with mock.patch.object(hypergraphs, "_CHUNK", chunk):
+                parsed = Hypergraph._canonical_entries(canonical)
+            assert (parsed is None) == (n > k * max(rows, 1))
+            assert parsed is None or parsed[1] == entries
+        assert Hypergraph._canonical_entries(perturbed) is None
+        fast = Hypergraph.from_edge_list(canonical)
+        slow = Hypergraph.from_edge_list(perturbed)
+        ref = Hypergraph(n, k, edges)
+        assert fast._conbr == slow._conbr == ref._codegree_neighbours()
+        assert fast.edges == slow.edges == ref.edges
+        assert fast.to_edge_list().encode() == slow.to_edge_list().encode()
+        assert fast.to_edge_list() == ref.to_edge_list()
+
+    @settings(max_examples=200, deadline=None)
+    @given(canonical_and_perturbed())
+    def test_indicator_builder_equals_the_per_edge_loop(self, case):
+        _, k, edges, _, _ = case
+        if edges:
+            cols = list(zip(*edges))
+            assert _indicator_masks(cols) == _edge_masks(cols)
+
+    @pytest.mark.parametrize("text, edge", [
+        ("1000000000 3\n0 1 2\n", (0, 1, 2)),
+        ("3000 2\n0 2999\n", (0, 2999)),
+    ], ids=["n-beyond-the-entries", "sparse"])
+    def test_memory_is_bounded_by_the_input(self, text, edge):
+        # neither a table of n vertex names nor a 9 MB edge indicator
+        tracemalloc.start()
+        try:
+            H = Hypergraph.from_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert H.edges == {edge} and H.to_edge_list() == text
 
 
 @st.composite
