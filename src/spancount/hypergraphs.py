@@ -7,33 +7,29 @@ U + {v} is an edge.  A degree into a vertex set S is then
 `(mask & S's mask).bit_count()`, and the searches cut their candidates
 down with `&`.  Codegree queries dominate the partition goodness checks.
 
-A hypergraph keeps two stores, and one of them is primary:
-- `Hypergraph(n, k, edges)` keeps the frozenset of edges and builds the
-  masks on first use (generators and tests, which mostly write or
-  compare edges);
-- `Hypergraph.from_edge_list` parses the text straight into the masks
-  and keeps only them (every CLI command reads its host this way); the
-  edge set is derived from the masks on first use.
+Every host stores only these masks: `Hypergraph(n, k, edges)` and
+`from_edge_list` hand the edges' columns to one validator that builds
+them, and the edge set, `num_edges`, `==`, `hash` and `to_edge_list`
+are read off them.
 
 `from_edge_list` tokenizes text laid out exactly as `to_edge_list` (and
 so `generate`) writes it in newline-aligned chunks: a chunk whose lines
 are not k decimal entries joined by single spaces, or an entry outside
 a table of the names of 0..n-1, sends the whole text to the
 line-by-line reader, whose messages name the fault.  The table is built
-only when the text holds at least n entries.  Both readers share the
-column checks that follow.
+only when the text holds at least n entries.
 
-Both stores build their masks with one of two builders, picked by the
-input alone.  When n**k is at most `_CELLS_PER_EDGE` (32) bytes per
-edge line, with n one more than the largest vertex, the masks are read
-off a transient n**k-byte edge indicator, k strided slices per mask;
-otherwise each edge sets its k bits one at a time, so a sparse host or
-one with large n costs no n**k bytes.
+The masks come from one of two builders, picked by the input alone.
+When n**k is at most `_CELLS_PER_EDGE` (32) bytes per edge, with n one
+more than the largest vertex, the masks are read off a transient
+n**k-byte edge indicator, k strided slices per mask; otherwise each
+edge sets its k bits one at a time, so a sparse host or one with large
+n costs no n**k bytes.
 
-`has_edge` tests one mask bit on either kind of host.  A mask is as wide
-as its largest vertex, so on a dense host (the paper's setting) the
-masks are smaller than the edge set, but a sparse host with large n
-pays up to k * |E| * n / 8 bytes for them.
+A mask is as wide as its largest vertex, so on a dense host (the
+paper's setting) the masks are smaller than the edge set, but a sparse
+host with large n pays up to k * |E| * n / 8 bytes for them, whichever
+constructor built it.
 
 Degrees and thresholds are exact (ints / Fractions), never floats, so
 comparisons like delta(H) >= (d + g) * n never hinge on rounding.
@@ -69,7 +65,7 @@ _CELLS_PER_EDGE = 32
 class Hypergraph:
     """An n-vertex k-uniform hypergraph over vertices 0..n-1."""
 
-    __slots__ = ("n", "k", "_edges", "_conbr")
+    __slots__ = ("n", "k", "_conbr")
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]] = ()):
         if k < 1:
@@ -78,33 +74,27 @@ class Hypergraph:
             raise InvalidQueryError(f"vertex count n={n} must be >= 0")
         self.n = n
         self.k = k
-        canon = set()
-        for e in edges:
-            t = tuple(sorted(e))
-            if len(t) != k or len(set(t)) != k:
-                raise InvalidQueryError(f"edge {t} is not a set of {k} distinct vertices")
-            if t[0] < 0 or t[-1] >= n:
-                raise InvalidQueryError(f"edge {t} has vertices outside 0..{n - 1}")
-            canon.add(t)
-        self._edges: Optional[FrozenSet[Edge]] = frozenset(canon)
-        self._conbr: Dict[Edge, int] | None = None
+        rows = list(map(tuple, edges))
+        bad = next((tuple(sorted(e)) for e in rows if len(e) != k), None)
+        if bad is not None:
+            raise InvalidQueryError(f"edge {bad} is not a set of {k} distinct vertices")
+        self._conbr = _masks(n, [list(map(operator.itemgetter(i), rows)) for i in range(k)])
 
     # -- basic accessors ------------------------------------------------
 
     @property
     def edges(self) -> FrozenSet[Edge]:
-        if self._edges is None:
-            # a parsed host: each edge once, as its least k-1 vertices (a key)
-            # plus a vertex of the key's mask above them
-            self._edges = frozenset(
-                u + (v,)
-                for u, m in self._conbr.items()
-                for v in mask_vertices(m >> (u[-1] + 1) << (u[-1] + 1) if u else m)
-            )
-        return self._edges
+        # each edge once, as its least k-1 vertices (a key) plus a vertex of
+        # the key's mask above them
+        return frozenset(
+            u + (v,)
+            for u, m in self._conbr.items()
+            for v in mask_vertices(m >> (u[-1] + 1) << (u[-1] + 1) if u else m)
+        )
 
     def num_edges(self) -> int:
-        return len(self.edges)
+        # each edge sets one bit in the mask of each of its k keys
+        return sum(m.bit_count() for m in self._conbr.values()) // self.k
 
     def has_edge(self, vs: Iterable[int]) -> bool:
         # the key is every vertex but the largest; keys hold k-1 distinct
@@ -122,11 +112,11 @@ class Hypergraph:
             isinstance(other, Hypergraph)
             and self.n == other.n
             and self.k == other.k
-            and self.edges == other.edges
+            and self._conbr == other._conbr
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.k, self.edges))
+        return hash((self.n, self.k, frozenset(self._conbr.items())))
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, k={self.k})"
@@ -136,8 +126,6 @@ class Hypergraph:
     def _codegree_neighbours(self) -> Dict[Edge, int]:
         """Map each (k-1)-subset U of an edge to the bitmask of the vertices
         v completing it: bit v is set iff U + {v} is an edge."""
-        if self._conbr is None:
-            self._conbr = _masks(list(zip(*self._edges)))
         return self._conbr
 
     def codegree_set(self, U: Iterable[int]) -> set:
@@ -194,33 +182,33 @@ class Hypergraph:
 
     def to_edge_list(self) -> str:
         """Text format: first line `n k`, then one sorted edge per line."""
-        lines = [f"{self.n} {self.k}"]
-        for e in sorted(self.edges):
-            lines.append(" ".join(str(v) for v in e))
-        return "\n".join(lines) + "\n"
+        lines = [f"{self.n} {self.k}\n"]
+        # names up to the largest vertex, not n: a sparse host may have a huge n
+        top = max((m.bit_length() for m in self._conbr.values()), default=0)
+        names = list(map(str, range(top)))
+        zero_one = bytes.maketrans(b"01", b"\0\1")
+        for u in sorted(self._conbr):
+            # the edges whose least k-1 vertices are u, as u + (v,) in
+            # ascending v: the bits of u's mask above u[-1] pick the names of v
+            lo = u[-1] + 1 if u else 0
+            m = self._conbr[u] >> lo << lo
+            if m:
+                bits = format(m, "b")[::-1].encode().translate(zero_one)
+                head = "".join(f"{x} " for x in u)
+                lines.append(head + f"\n{head}".join(itertools.compress(names, bits)) + "\n")
+        return "".join(lines)
 
     @classmethod
     def from_edge_list(cls, text: str) -> "Hypergraph":
         """Parse the text format straight into the codegree masks.
 
         Each edge line is checked as `__init__` checks an edge; blank,
-        unsorted and repeated lines are accepted and canonicalised.  The
-        host keeps only the masks."""
+        unsorted and repeated lines are accepted and canonicalised."""
         H, vals = cls._canonical_entries(text) or cls._entries_by_line(text)
-        k = H.k
-        # column i holds each line's i-th vertex; lines are mostly sorted
-        # already, so only sort them all when some line is not
-        cols = [vals[i::k] for i in range(k)]
+        # column i holds each line's i-th vertex
+        cols = [vals[i::H.k] for i in range(H.k)]
         del vals  # freed before the masks are built, which lowers the load's peak
-        if not _increasing(cols):
-            cols = list(zip(*map(sorted, zip(*cols))))
-            if not _increasing(cols):
-                bad = next(e for e in zip(*cols) if len(set(e)) < k)
-                raise InvalidQueryError(f"edge {bad} is not a set of {k} distinct vertices")
-        if cols[0] and (min(cols[0]) < 0 or max(cols[-1]) >= H.n):
-            bad = next(e for e in zip(*cols) if e[0] < 0 or e[-1] >= H.n)
-            raise InvalidQueryError(f"edge {bad} has vertices outside 0..{H.n - 1}")
-        H._edges, H._conbr = None, _masks(cols)
+        H._conbr = _masks(H.n, cols)
         return H
 
     @classmethod
@@ -295,12 +283,22 @@ def _increasing(cols) -> bool:
     return all(all(map(operator.lt, a, b)) for a, b in zip(cols, cols[1:]))
 
 
-def _masks(cols) -> Dict[Edge, int]:
-    """The codegree masks of the sorted edges whose i-th vertices form
-    column i: each edge sets bit e[i] in the mask of e without e[i]."""
+def _masks(n: int, cols) -> Dict[Edge, int]:
+    """The codegree masks of the edges whose i-th vertices form column i,
+    after the one check of edges: each row, sorted, must be k distinct
+    vertices of 0..n-1.  Rows are sorted only when some row is not."""
     if not cols or not cols[0]:
         return {}
-    if (max(cols[-1]) + 1) ** len(cols) <= _CELLS_PER_EDGE * len(cols[0]):
+    k = len(cols)
+    if not _increasing(cols):
+        cols = list(zip(*map(sorted, zip(*cols))))
+        if not _increasing(cols):
+            bad = next(e for e in zip(*cols) if len(set(e)) < k)
+            raise InvalidQueryError(f"edge {bad} is not a set of {k} distinct vertices")
+    if min(cols[0]) < 0 or max(cols[-1]) >= n:
+        bad = next(e for e in zip(*cols) if e[0] < 0 or e[-1] >= n)
+        raise InvalidQueryError(f"edge {bad} has vertices outside 0..{n - 1}")
+    if (max(cols[-1]) + 1) ** k <= _CELLS_PER_EDGE * len(cols[0]):
         return _indicator_masks(cols)
     return _edge_masks(cols)
 

@@ -93,6 +93,18 @@ class TestReports:
         assert report["config"]["params"]["ell"] == 1
         assert "count" in report["results"]
 
+    def test_reused_parser_leaks_no_defaults(self, tmp_path, capsys):
+        # one parser serves every command of a process: generate's
+        # report_to_stdout must not send a later count's report to stdout
+        assert cli.build_parser() is cli.build_parser()
+        hostfile, out = tmp_path / "k6.txt", tmp_path / "r.json"
+        assert main(["generate", "--family", "complete", "--n", "6", "--k", "3",
+                     "--out", str(hostfile)]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["command"] == "generate"
+        assert main(["count", "--input", str(hostfile), "--ell", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text())["results"]["count"] == 60
+
 
 class TestStitchCommand:
     def test_pipeline_and_worker_equivalence(self, tmp_path):

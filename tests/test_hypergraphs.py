@@ -192,20 +192,23 @@ class TestCanonicalText:
             cols = list(zip(*edges))
             assert _indicator_masks(cols) == _edge_masks(cols)
 
-    @pytest.mark.parametrize("text, edge", [
-        ("1000000000 3\n0 1 2\n", (0, 1, 2)),
-        ("3000 2\n0 2999\n", (0, 2999)),
-    ], ids=["n-beyond-the-entries", "sparse"])
-    def test_memory_is_bounded_by_the_input(self, text, edge):
-        # neither a table of n vertex names nor a 9 MB edge indicator
+    @pytest.mark.parametrize("build, text, edge", [
+        (Hypergraph.from_edge_list, "1000000000 3\n0 1 2\n", (0, 1, 2)),
+        (Hypergraph.from_edge_list, "3000 2\n0 2999\n", (0, 2999)),
+        (lambda _: Hypergraph(10**9, 3, [(0, 1, 2)]), "1000000000 3\n0 1 2\n", (0, 1, 2)),
+    ], ids=["n-beyond-the-entries", "sparse", "constructed"])
+    def test_memory_is_bounded_by_the_input(self, build, text, edge):
+        # neither a table of n vertex names nor a 9 MB edge indicator, to
+        # build the host or to write it back
         tracemalloc.start()
         try:
-            H = Hypergraph.from_edge_list(text)
+            H = build(text)
+            written = H.to_edge_list()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert H.edges == {edge} and H.to_edge_list() == text
+        assert H.edges == {edge} and written == text
 
 
 @st.composite
@@ -262,7 +265,6 @@ class TestParsedHost:
             S = data.draw(st.sets(st.sampled_from(rest))) if rest else set()
             assert H.degree(U, S) == ref.degree(U, S)
         shipped = pickle.loads(pickle.dumps(H))
-        assert H._edges is None and shipped._edges is None
         assert shipped == ref
         # the derived edge set
         assert H.edges == ref.edges
@@ -276,19 +278,55 @@ class TestParsedHost:
         assert pickle.loads(pickle.dumps(H)) == ref
 
     def test_pipeline_never_derives_the_edge_set(self):
-        H = Hypergraph.from_edge_list(complete(24, 3).to_edge_list())
-        sv = size_vector(24, 6, 1, 3)
-        spec = GoodnessSpec(Fraction(1, 2), Fraction(1, 10))
-        part, _ = random_bisection(H, sv, spec, seed=3)
-        assert check_good(H, part, spec.delta + spec.gamma / 2, sizes=sv.sizes).good
-        assert stitch_cycle(H, part, 2) is not None
-        assert stitch_power_cycle(H, part, 4) is not None
-        small = Hypergraph.from_edge_list(complete(7, 3).to_edge_list())
-        assert enumerate_hamilton_ell_cycles(small, 2) == 360
-        edgeless = Hypergraph.from_edge_list("6 3\n")
-        assert enumerate_hamilton_ell_cycles(edgeless, 2) == 0
-        for G in (H, small, edgeless):
-            assert G._edges is None
+        def derived(self):
+            raise AssertionError("the pipeline derived the edge set")
+
+        with mock.patch.object(Hypergraph, "edges", property(derived)):
+            H = Hypergraph.from_edge_list(complete(24, 3).to_edge_list())
+            sv = size_vector(24, 6, 1, 3)
+            spec = GoodnessSpec(Fraction(1, 2), Fraction(1, 10))
+            part, _ = random_bisection(H, sv, spec, seed=3)
+            assert check_good(H, part, spec.delta + spec.gamma / 2, sizes=sv.sizes).good
+            assert stitch_cycle(H, part, 2) is not None
+            assert stitch_power_cycle(H, part, 4) is not None
+            small = Hypergraph.from_edge_list(complete(7, 3).to_edge_list())
+            assert enumerate_hamilton_ell_cycles(small, 2) == 360
+            edgeless = Hypergraph.from_edge_list("6 3\n")
+            assert enumerate_hamilton_ell_cycles(edgeless, 2) == 0
+
+
+@st.composite
+def single_edges(draw):
+    """(n, k, edge): k in 1..4 vertices in any order, either an edge of
+    0..n-1, or with one vertex repeated or moved outside 0..n-1."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 9))
+    edge = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+    fault = draw(st.sampled_from(["none", "outside"] + ["repeated"] * (k >= 2)))
+    if fault == "outside":
+        edge[draw(st.integers(0, k - 1))] = draw(st.sampled_from([-1, n, n + 5]))
+    elif fault == "repeated":
+        i, j = draw(st.permutations(range(k)))[:2]
+        edge[i] = edge[j]
+    return n, k, tuple(edge)
+
+
+class TestOneValidator:
+    """`Hypergraph(n, k, edges)` and `from_edge_list` run the same checks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(single_edges())
+    def test_both_constructors_accept_and_reject_alike(self, case):
+        n, k, edge = case
+        text = f"{n} {k}\n{' '.join(map(str, edge))}\n"
+        if len(set(edge)) == k and 0 <= min(edge) and max(edge) < n:
+            assert Hypergraph(n, k, [edge])._conbr == Hypergraph.from_edge_list(text)._conbr
+            return
+        with pytest.raises(InvalidQueryError) as built:
+            Hypergraph(n, k, [edge])
+        with pytest.raises(InvalidQueryError) as parsed:
+            Hypergraph.from_edge_list(text)
+        assert str(built.value) == str(parsed.value)
 
 
 class TestDiracThreshold:
