@@ -1,10 +1,11 @@
 """Spanning structures in dense uniform hypergraphs.
 
-Exact degree queries, Hamilton ell-path and ell-cycle solvers, random
-balanced partitions with degree-event tracking, partition-respecting
-cycle stitching, F-factor search and counting, absorbing-path decision
-procedures, and directed-rounding counting bounds.  Everything is
-exhaustive and exact at desk scale; nothing approximates silently.
+Exact degree queries, ell-path and ell-cycle structures with an exact
+Hamilton ell-cycle enumerator, random balanced partitions with
+degree-event tracking, partition-respecting cycle stitching, F-factor
+search and counting, absorbing-path decision procedures, and
+directed-rounding counting bounds.  Everything is exhaustive and exact
+at desk scale; nothing approximates silently.
 """
 
 from .absorb import AbsorberConfig, can_absorb, classify_set
@@ -31,11 +32,9 @@ from .factors import (
     FactorSpec,
     count_f_factors,
     factor_census,
-    factor_lower_bound,
     find_f_factor,
     matching_count_closed_form,
     matching_zero_cycle_relation,
-    partition_multiplicity_bound,
     single_edge_spec,
     stitch_factor,
     verify_decomposition,
@@ -70,10 +69,8 @@ from .partition import (
 from .paths import (
     EllCycle,
     EllPath,
-    EndPair,
     PowerCycle,
     enumerate_hamilton_ell_cycles,
-    find_hamilton_ell_path,
     validate_ell_cycle,
     validate_ell_path,
     validate_power_cycle,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import InvalidQueryError, InvalidStructureError
 from .hypergraphs import Hypergraph, vertex_mask
@@ -58,20 +58,11 @@ def can_absorb(
         claimed |= s
     if not claimed:
         return P
-    return _absorbing_path(H, P, claimed, budget)
-
-
-def _absorbing_path(
-    H: Hypergraph, P: EllPath, claimed: AbstractSet[int], budget: Optional[int]
-) -> Optional[EllPath]:
-    """`can_absorb`'s witness search, without its input checks: P must be
-    an ell-path of H and `claimed` a non-empty vertex set disjoint from
-    V(P), the union of the sets to absorb."""
-    target = set(P.order) | claimed
-    ends = P.ends()
-    order = _search_path(
-        H, P.ell, ends.a, ends.b, len(target), sorted(target), _Budget(budget)
-    )
+    a, b = P.order[:P.ell], P.order[len(P.order) - P.ell:]
+    if set(a) & set(b):
+        raise InvalidStructureError("P's first and last ell vertices must be disjoint")
+    target = pv | claimed
+    order = _search_path(H, P.ell, a, b, len(target), sorted(target), _Budget(budget))
     if order is None:
         return None
     witness = EllPath(order, H.k, P.ell)
@@ -101,13 +92,22 @@ def classify_set(
         raise InvalidQueryError(
             f"no ell-path has t_abs = {t} vertices: (k-ell) must divide t_abs - ell"
         )
-    counter = _Budget(budget)
-    # the masks keep S off every position, so each path found is a valid
-    # ell-path of H disjoint from S: `can_absorb`'s input checks hold
+    if t < 2 * ell:
+        raise InvalidQueryError(
+            f"t_abs = {t} < 2*ell = {2 * ell}: an absorbing path's two ell-vertex ends "
+            "would overlap"
+        )
+    # the masks keep S off every position, so each path found is an
+    # ell-path of H disjoint from S; it absorbs S iff some ell-path with
+    # its ends spans its vertices and S, searched with no budget of its own
     allowed = (vertex_mask(range(H.n)) & ~vertex_mask(s),) * t
+    s_sorted = tuple(sorted(s))
     count = 0
-    for order in _ordered_search(H, _windows(k, k - ell, t, False), t, allowed, counter):
-        if _absorbing_path(H, EllPath(order, k, ell), s, None) is not None:
+    for order in _ordered_search(H, _windows(k, k - ell, t, False), t, allowed, _Budget(budget)):
+        found = _search_path(
+            H, ell, order[:ell], order[t - ell:], t + (k - ell), order + s_sorted, None
+        )
+        if found is not None:
             count += 1
     good = count >= cfg.beta * H.n ** t
     return count, good

@@ -313,7 +313,8 @@ def cmd_absorb_classify(args) -> Dict:
     H = _load_host(args.input)
     cfg = AbsorberConfig(_fraction(args.beta, "--beta"), args.t)
     _require(args.limit is None or args.limit >= 1, "--limit must be >= 1")
-    sets = list(itertools.combinations(range(H.n), H.k - args.ell))[:args.limit]
+    _require(1 <= args.ell < H.k, f"--ell must be >= 1 and < k = {H.k}, got {args.ell}")
+    sets = itertools.islice(itertools.combinations(range(H.n), H.k - args.ell), args.limit)
     classified = []
     for S in sets:
         count, good = classify_set(H, S, cfg, args.ell, budget=args.budget)

@@ -20,14 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .bounds import RationalBracket, exp_neg_bracket
-from .bounds import multinomial as _multinomial
 from .errors import DivisibilityError, InvalidQueryError
 from .hypergraphs import Hypergraph, complete
-from .partition import Partition, SizeVector
+from .partition import Partition
 from .paths import _Budget, _ordered_search, _pinned
 
 
@@ -206,30 +203,6 @@ def stitch_factor(
             return None
         copies.extend(dec.copies)
     return _verified(H, spec, FactorDecomposition(tuple(copies)))
-
-
-def partition_multiplicity_bound(n: int, t: int) -> int:
-    """(n/t)^(n/t): partitions a single F-factor can be compatible with."""
-    if t < 1 or n % t != 0:
-        raise DivisibilityError(f"t = {t} must divide n = {n}")
-    q = n // t
-    return q ** q
-
-
-def factor_lower_bound(n: int, t: int, sv: SizeVector) -> RationalBracket:
-    """Bracket of e^{-n} * exp(-(n/t) log n) * multinomial(n; sizes).
-
-    exp(-(n/t) log n) = n^(-n/t) is exact when t divides n; only the
-    e^{-n} factor needs directed rounding.
-    """
-    if t < 1 or n % t != 0:
-        raise DivisibilityError(f"t = {t} must divide n = {n}")
-    if sv.n != n:
-        raise InvalidQueryError(f"size vector sums to {sv.n}, expected {n}")
-    mult = _multinomial(n, sv.sizes)
-    scale = Fraction(mult, n ** (n // t))
-    e_lo, e_hi = exp_neg_bracket(n)
-    return RationalBracket(e_lo * scale, e_hi * scale)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""ell-paths, ell-cycles, powers of tight cycles, and exact solvers.
+"""ell-paths, ell-cycles, powers of tight cycles, and their exact search.
 
 An ell-path on vertices v_1..v_t has edges given by the consecutive
 k-windows at stride k-ell, so consecutive edges share exactly ell
@@ -7,16 +7,17 @@ layout is defined once (`_windows`), and so is the layout of a power of
 a tight cycle (`_power_windows`).  Each structure lists its windows,
 and one check (`validate_windows`) tests them against a host.
 
-The solvers here all run one ordered-window search, which fills
-positions in order so that every window of a given layout spans an
-edge, each position drawing from its own allowed vertex mask; a path's
-ends are one-bit masks.  It takes any layout, so the F-factor code
-finds copies of F with it too.  Every cyclic search runs through
-`_cycle_orders`, which confines each position to the block whose arc
-covers it; a phase is a position where the first arc may start, and a
-single block (the enumerator's whole vertex set) pins its least vertex
-there instead.  Searches carry explicit node budgets: a partial result
-never masquerades as an exact one.
+Everything here runs one ordered-window search, which fills positions
+in order so that every window of a given layout spans an edge, each
+position drawing from its own allowed vertex mask; a path's ends are
+one-bit masks (`_search_path`, which the absorbers run).  It takes any
+layout, so the F-factor code finds copies of F with it too.  Every
+cyclic search runs through `_cycle_orders`, which confines each
+position to the block whose arc covers it; a phase is a position where
+the first arc may start, and a single block (the enumerator's whole
+vertex set) pins its least vertex there instead.  Searches carry
+explicit node budgets: a partial result never masquerades as an exact
+one.
 
 Hamilton ell-cycles are counted as sub-hypergraphs (distinct edge
 sets), not orderings; rotations, reflections and small-n coincidences
@@ -68,9 +69,6 @@ class EllPath:
         layout = _windows(self.k, self.k - self.ell, len(self.order), False)
         # a linear window is a run of k positions, so it is a slice
         return [self.order[w[0]:w[0] + self.k] for w in layout]
-
-    def ends(self) -> "EndPair":
-        return EndPair(self.order[:self.ell], self.order[-self.ell:] if self.ell else ())
 
     def edge_set(self) -> frozenset:
         return frozenset(tuple(sorted(w)) for w in self.windows())
@@ -125,24 +123,6 @@ class PowerCycle:
     def windows(self) -> List[Tuple[int, ...]]:
         layout = _power_windows(self.k, self.t, len(self.order))
         return [tuple(self.order[q] for q in w) for w in layout]
-
-
-@dataclass(frozen=True)
-class EndPair:
-    """Ordered, disjoint end tuples of an ell-path."""
-
-    a: Tuple[int, ...]
-    b: Tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "b", tuple(self.b))
-        if len(self.a) != len(self.b):
-            raise InvalidStructureError("end tuples must have equal length")
-        _check_distinct(self.a)
-        _check_distinct(self.b)
-        if set(self.a) & set(self.b):
-            raise InvalidStructureError("end tuples must be vertex-disjoint")
 
 
 # -- validators ----------------------------------------------------------
@@ -310,7 +290,7 @@ def _search_path(
     b: Tuple[int, ...],
     total: int,
     pool: Sequence[int],
-    budget: _Budget,
+    budget: Optional[_Budget],
 ) -> Optional[Tuple[int, ...]]:
     """First ell-path ordering of `total` vertices from a to b, or None.
 
@@ -323,35 +303,7 @@ def _search_path(
     return next(_ordered_search(H, windows, total, allowed, budget), None)
 
 
-# -- Hamilton path / cycle solvers ---------------------------------------
-
-
-def find_hamilton_ell_path(
-    H: Hypergraph,
-    ell: int,
-    ends: EndPair,
-    budget: Optional[int] = None,
-) -> Optional[EllPath]:
-    """A spanning ell-path of H from ends.a to ends.b, or None.
-
-    Exhaustive backtracking; raises BudgetExceededError if a node
-    budget is given and exhausted before the search concludes.
-    """
-    k = H.k
-    if not 0 <= ell < k:
-        raise InvalidQueryError(f"need 0 <= ell < k, got ell={ell}, k={k}")
-    if len(ends.a) != ell:
-        raise InvalidQueryError(f"end tuples must have length ell={ell}")
-    if any(v < 0 or v >= H.n for v in ends.a + ends.b):
-        raise InvalidQueryError("end vertices must lie in the host")
-    if H.n < 2 * ell:
-        raise InvalidQueryError(f"host has {H.n} < 2*ell vertices")
-    if (H.n - ell) % (k - ell) != 0:
-        raise DivisibilityError(
-            f"(k-ell)={k - ell} must divide n-ell={H.n - ell} for a Hamilton ell-path"
-        )
-    order = _search_path(H, ell, ends.a, ends.b, H.n, range(H.n), _Budget(budget))
-    return EllPath(order, k, ell) if order is not None else None
+# -- Hamilton cycle enumeration ------------------------------------------
 
 
 def enumerate_hamilton_ell_cycles(

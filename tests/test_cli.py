@@ -4,7 +4,11 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -281,6 +285,15 @@ class TestExitCodes:
         assert main(["absorb-classify", "--input", str(k7), "--ell", "2", "--t", "4",
                      "--limit", limit]) == 2
 
+    @pytest.mark.parametrize("ell", ["5", "3", "0"])
+    def test_absorb_ell_outside_one_to_k_is_2(self, tmp_path, capsys, ell):
+        k7 = tmp_path / "k7.txt"
+        assert main(["generate", "--family", "complete", "--n", "7", "--k", "3",
+                     "--out", str(k7)]) == 0
+        capsys.readouterr()
+        assert main(["absorb-classify", "--input", str(k7), "--ell", ell, "--t", "4"]) == 2
+        assert "--ell" in capsys.readouterr().err
+
     def test_exact_count_of_a_power_beyond_k_is_2(self, tmp_path):
         # a tight cycle has no 4-clique, so it holds no power with t = 4
         tight = tmp_path / "c8.txt"
@@ -440,3 +453,19 @@ class TestAbsorbCommand:
         report = json.loads(out.read_text())
         assert report["results"]["good_sets"] == 3
         assert all(c["count"] == 120 for c in report["results"]["classified"])
+
+
+def test_runtime_imports_only_the_standard_library():
+    # numpy and friends may be installed; the package must not reach for them
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; before = set(sys.modules)\n"
+        "import spancount, spancount.cli\n"
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert "spancount" in out
+    allowed = set(sys.stdlib_module_names) | {"spancount", "__main__", "__mp_main__"}
+    assert [m for m in out if m not in allowed] == []

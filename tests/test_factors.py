@@ -16,14 +16,11 @@ from spancount import (
     complete,
     count_f_factors,
     empty,
-    factor_lower_bound,
     find_f_factor,
     gen_random,
     matching_count_closed_form,
     matching_zero_cycle_relation,
-    partition_multiplicity_bound,
     single_edge_spec,
-    size_vector,
     stitch_factor,
     verify_decomposition,
 )
@@ -232,24 +229,6 @@ class TestStitchFactor:
         budget = data.draw(st.sampled_from([None, 1, 2, 4, 12]))
         want = outcome(reference_stitch_factor, H, P, spec, budget)
         assert outcome(stitch_factor, H, P, spec, budget) == want
-
-
-class TestBounds:
-    def test_partition_multiplicity(self):
-        assert partition_multiplicity_bound(12, 3) == 4 ** 4
-        assert partition_multiplicity_bound(6, 6) == 1
-
-    def test_factor_lower_bound_value(self):
-        sv = size_vector(12, 3, 1, 2)
-        b = factor_lower_bound(12, 3, sv)
-        ref = math.exp(-12) * 12 ** (-4) * 924  # multinomial(12; 6, 6) = 924
-        assert 0 < float(b.lo) <= ref * (1 + 1e-12)
-        assert float(b.hi) >= ref * (1 - 1e-12)
-
-    def test_divisibility(self):
-        sv = size_vector(12, 3, 1, 2)
-        with pytest.raises(DivisibilityError):
-            factor_lower_bound(12, 5, sv)
 
 
 class TestMatchingCycleRelation:

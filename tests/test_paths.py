@@ -10,26 +10,25 @@ from spancount import (
     DivisibilityError,
     EllCycle,
     EllPath,
-    EndPair,
     InvalidStructureError,
     PowerCycle,
     complete,
     empty,
     enumerate_hamilton_ell_cycles,
-    find_hamilton_ell_path,
     gen_random,
     validate_ell_cycle,
     validate_ell_path,
     validate_power_cycle,
 )
+from spancount.absorb import can_absorb
 from spancount.hypergraphs import Hypergraph
+from spancount.paths import _search_path
 
 
 class TestStructures:
     def test_path_windows_stride(self):
         P = EllPath((0, 1, 2, 3, 4), 3, 1)
         assert P.windows() == [(0, 1, 2), (2, 3, 4)]
-        assert P.ends().a == (0,) and P.ends().b == (4,)
 
     def test_tight_path_windows(self):
         P = EllPath((0, 1, 2, 3), 3, 2)
@@ -50,10 +49,6 @@ class TestStructures:
     def test_repeated_vertices_rejected(self):
         with pytest.raises(InvalidStructureError):
             EllPath((0, 1, 0), 3, 1)
-
-    def test_end_pair_disjoint(self):
-        with pytest.raises(InvalidStructureError):
-            EndPair((0, 1), (1, 2))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 4), st.data())
@@ -105,22 +100,21 @@ class TestValidators:
 
 
 class TestHamiltonPath:
+    # the path search the absorbers run, pinned at both ends and spanning H
     def test_planted_path_found(self):
         P = EllPath(tuple(range(7)), 3, 1)
         H = Hypergraph(7, 3, P.windows())
-        found = find_hamilton_ell_path(H, 1, EndPair((0,), (6,)))
-        assert found is not None and validate_ell_path(H, found)
+        found = _search_path(H, 1, (0,), (6,), 7, range(7), None)
+        assert found is not None and (found[0], found[-1]) == (0, 6)
+        assert validate_ell_path(H, EllPath(found, 3, 1))
 
     def test_no_path_in_empty(self):
-        assert find_hamilton_ell_path(empty(7, 3), 1, EndPair((0,), (6,))) is None
-
-    def test_divisibility_error(self):
-        with pytest.raises(DivisibilityError):
-            find_hamilton_ell_path(complete(6, 3), 1, EndPair((0,), (5,)))
+        assert _search_path(empty(7, 3), 1, (0,), (6,), 7, range(7), None) is None
 
     def test_budget_exhaustion_raises(self):
+        P = EllPath((0, 1, 2, 3, 4), 3, 1)
         with pytest.raises(BudgetExceededError):
-            find_hamilton_ell_path(complete(11, 3), 1, EndPair((0,), (10,)), budget=2)
+            can_absorb(complete(11, 3), P, [{5, 6}], budget=2)
 
 
 class TestEnumeration:
