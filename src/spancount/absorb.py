@@ -99,11 +99,14 @@ def classify_set(
         )
     # the masks keep S off every position, so each path found is an
     # ell-path of H disjoint from S; it absorbs S iff some ell-path with
-    # its ends spans its vertices and S, searched with no budget of its own
+    # its ends spans its vertices and S, searched with no budget of its own.
+    # Every ordering counts, and which vertices are ends depends on it, so
+    # the outer search walks them all: no class cut
     allowed = (vertex_mask(range(H.n)) & ~vertex_mask(s),) * t
     s_sorted = tuple(sorted(s))
     count = 0
-    for order in _ordered_search(H, _windows(k, k - ell, t, False), t, allowed, _Budget(budget)):
+    layout = _windows(k, k - ell, t, False)
+    for order in _ordered_search(H, layout, t, allowed, _Budget(budget), cut=False):
         found = _search_path(
             H, ell, order[:ell], order[t - ell:], t + (k - ell), order + s_sorted, None
         )

@@ -86,7 +86,9 @@ def _canonical_copies(
     (vertex set, edge image); sorted for determinism.  The injections
     come from the ordered-window search with F's edges as the window
     layout and the anchor pinned at each vertex of F in turn; finding
-    them spends no budget.
+    them spends no budget.  The search's class cut skips the injections
+    that permute vertices of F lying in exactly the same edges, none of
+    which is the least of its copy.
     """
     edges = tuple(sorted(spec.F.edges))
     least: Dict[Tuple[frozenset, frozenset], Tuple[int, ...]] = {}

@@ -283,22 +283,32 @@ def _increasing(cols) -> bool:
     return all(all(map(operator.lt, a, b)) for a, b in zip(cols, cols[1:]))
 
 
+def _sort_rows(cols) -> None:
+    """Sort, in place, the rows of the column lists that are not strictly
+    increasing, in row order; raise at the first that repeats a vertex."""
+    k = len(cols)
+    increasing = map(all, zip(*(map(operator.lt, a, b) for a, b in zip(cols, cols[1:]))))
+    for i in list(itertools.compress(itertools.count(), map(operator.not_, increasing))):
+        row = sorted(col[i] for col in cols)
+        if len(set(row)) < k:
+            raise InvalidQueryError(f"edge {tuple(row)} is not a set of {k} distinct vertices")
+        for col, v in zip(cols, row):
+            col[i] = v
+
+
 def _masks(n: int, cols) -> Dict[Edge, int]:
-    """The codegree masks of the edges whose i-th vertices form column i,
-    after the one check of edges: each row, sorted, must be k distinct
-    vertices of 0..n-1.  Rows are sorted only when some row is not."""
+    """The codegree masks of the edges whose i-th vertices form column i
+    (lists, which it may reorder within rows), after the one check of
+    edges: each row, sorted, must be k distinct vertices of 0..n-1.  Only
+    the rows that are not sorted are sorted."""
     if not cols or not cols[0]:
         return {}
-    k = len(cols)
     if not _increasing(cols):
-        cols = list(zip(*map(sorted, zip(*cols))))
-        if not _increasing(cols):
-            bad = next(e for e in zip(*cols) if len(set(e)) < k)
-            raise InvalidQueryError(f"edge {bad} is not a set of {k} distinct vertices")
+        _sort_rows(cols)
     if min(cols[0]) < 0 or max(cols[-1]) >= n:
         bad = next(e for e in zip(*cols) if e[0] < 0 or e[-1] >= n)
         raise InvalidQueryError(f"edge {bad} has vertices outside 0..{n - 1}")
-    if (max(cols[-1]) + 1) ** k <= _CELLS_PER_EDGE * len(cols[0]):
+    if (max(cols[-1]) + 1) ** len(cols) <= _CELLS_PER_EDGE * len(cols[0]):
         return _indicator_masks(cols)
     return _edge_masks(cols)
 

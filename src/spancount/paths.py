@@ -15,9 +15,23 @@ layout, so the F-factor code finds copies of F with it too.  Every
 cyclic search runs through `_cycle_orders`, which confines each
 position to the block whose arc covers it; a phase is a position where
 the first arc may start, and a single block (the enumerator's whole
-vertex set) pins its least vertex there instead.  Searches carry
-explicit node budgets: a partial result never masquerades as an exact
-one.
+vertex set) pins its least vertex there instead.
+
+The search breaks one symmetry.  A class is a set of positions that lie
+in exactly the same windows and draw from the same allowed mask; any
+permutation of the vertices inside classes keeps every window's vertex
+set.  So the search fills each class in ascending order (the class
+cut), which keeps the first ordering it finds and the least ordering of
+every edge set.  The enumerator, the stitchers, the absorbers' path
+tests and the F-factor copies read no more than that.  A caller that
+needs every ordering either weights each one by the product of its
+classes' sizes' factorials (`_class_weight`, as the count of K_n's
+cycles does) or turns the cut off (`cut=False`, as the absorbers' outer
+count of candidate paths does, because it reads the paths' ends).
+
+Searches carry explicit node budgets, one node per position entered, so
+a budget bounds the nodes of the cut search tree; a partial result never
+masquerades as an exact one.
 
 Hamilton ell-cycles are counted as sub-hypergraphs (distinct edge
 sets), not orderings; rotations, reflections and small-n coincidences
@@ -28,11 +42,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, DivisibilityError, InvalidQueryError, InvalidStructureError
-from .hypergraphs import Hypergraph, mask_vertices, vertex_mask
+from .hypergraphs import Hypergraph, vertex_mask
 
 
 # -- domain types --------------------------------------------------------
@@ -180,15 +196,61 @@ def _power_windows(k: int, t: int, length: int) -> Layout:
     }))
 
 
+def _getter(positions: Tuple[int, ...]):
+    """A function from an ordering to the vertices at `positions`."""
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    return lambda order: [order[q] for q in positions]
+
+
 @functools.lru_cache(maxsize=256)
-def _closing(windows: Layout, length: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-    """For each of `length` positions, the other positions of every window
-    that it is the last to fill."""
+def _plan(windows: Layout, length: int):
+    """What the search needs of a layout over `length` positions: for
+    each position p, getters of the other positions of every window that
+    p is the last to fill, and p's mate, the last earlier position that
+    lies in exactly the same windows, or -1; then the positions that
+    have a mate."""
     closing: List[list] = [[] for _ in range(length)]
-    for w in windows:
+    member: List[list] = [[] for _ in range(length)]
+    for i, w in enumerate(windows):
         last = max(w)
-        closing[last].append(tuple(q for q in w if q != last))
-    return tuple(tuple(c) for c in closing)
+        closing[last].append(_getter(tuple(q for q in w if q != last)))
+        for q in w:
+            member[q].append(i)
+    seen: dict = {}
+    mate = []
+    for p, m in enumerate(map(tuple, member)):
+        mate.append(seen.get(m, -1))
+        seen[m] = p
+    return tuple(map(tuple, closing)), tuple(mate), tuple(p for p, q in enumerate(mate) if q >= 0)
+
+
+def _class_links(windows: Layout, length: int, allowed: Sequence[int]) -> List[int]:
+    """For each position p, the last earlier position of p's class, or -1.
+
+    A class is a set of positions that lie in exactly the same windows
+    and draw from the same allowed mask.  Permuting the vertices inside
+    a class maps every ordering the search accepts to one with the same
+    windows' vertex sets, so each ordering has exactly one such image
+    whose classes are filled in ascending order.
+    """
+    _, mate, mated = _plan(windows, length)
+    links = list(mate)
+    for p in mated:
+        q = mate[p]
+        while q >= 0 and allowed[q] != allowed[p]:
+            q = mate[q]
+        links[p] = q
+    return links
+
+
+def _class_weight(windows: Layout, length: int, allowed: Sequence[int]) -> int:
+    """The product of |class|! over the classes: how many orderings each
+    one that the class cut keeps stands for."""
+    rank: List[int] = []
+    for q in _class_links(windows, length, allowed):
+        rank.append(rank[q] + 1 if q >= 0 else 1)
+    return math.prod(rank)
 
 
 def _ordered_search(
@@ -197,40 +259,63 @@ def _ordered_search(
     length: int,
     allowed: Sequence[int],
     budget: Optional[_Budget],
+    cut: bool = True,
 ) -> Iterator[Tuple[int, ...]]:
-    """Yield every ordering of `length` vertices in which each window of
-    the layout `windows` (position tuples, each of k positions) is an
-    edge of H.
+    """Yield, in lexicographic order, the orderings of `length` vertices
+    in which each window of the layout `windows` (position tuples, each
+    of k positions) is an edge of H; with `cut`, only those that fill
+    every class (`_class_links`) in ascending order.
 
-    Positions are filled in order.  Position p takes the vertices of
-    the bitmask `allowed[p]` that are not yet placed, in ascending
-    order; a one-bit mask pins p to its vertex.  The vertex must
-    complete each window that closes there, so the candidate bitmask is
-    cut down to those windows' codegree masks.  With a budget, entering
-    a position spends one node.
+    Positions are filled in order by one loop over a stack of
+    per-position candidate masks.  Position p takes the vertices of the
+    bitmask `allowed[p]` that are not yet placed, in ascending order; a
+    one-bit mask pins p to its vertex.  The vertex must complete each
+    window that closes there, so the candidates are cut down to those
+    windows' codegree masks, and with `cut` to the vertices above the
+    one at the last earlier position of p's class.  The least ordering
+    of each class orbit is the class-sorted one, so the cut keeps a
+    search's first ordering and the least of every orbit; a caller that
+    counts every ordering, or reads what a permutation inside a class
+    changes, passes cut=False.  With a budget, entering a position
+    spends one node, so a budget bounds the nodes of the tree the cut
+    leaves.
     """
-    closing = _closing(windows, length)
+    closing = _plan(windows, length)[0]
+    links = _class_links(windows, length, allowed) if cut else [-1] * length
+    get = H._codegree_neighbours().get
     order = [-1] * length
+    rest = [0] * length  # the candidates still to try at each filled position
     free = (1 << H.n) - 1
-    nbrs = H._codegree_neighbours()
-
-    def place(p: int) -> Iterator[Tuple[int, ...]]:
-        nonlocal free
-        if p == length:
-            yield tuple(order)
-            return
+    end = length - 1
+    p = 0
+    while True:
+        # enter position p
         if budget is not None:
             budget.spend()
-        candidates = free & allowed[p]
+        c = free & allowed[p]
+        q = links[p]
+        if q >= 0:
+            c &= -(2 << order[q])
         for others in closing[p]:
-            candidates &= nbrs.get(tuple(sorted([order[q] for q in others])), 0)
-        for v in mask_vertices(candidates):
-            order[p] = v
-            free &= ~(1 << v)
-            yield from place(p + 1)
-            free |= 1 << v
-
-    return place(0)
+            c &= get(tuple(sorted(others(order))), 0)
+        # place p's next candidate, backing up past positions that have none
+        while True:
+            if c:
+                low = c & -c
+                c ^= low
+                order[p] = low.bit_length() - 1
+                if p < end:
+                    break
+                yield tuple(order)
+            elif p:
+                p -= 1
+                free |= 1 << order[p]
+                c = rest[p]
+            else:
+                return
+        rest[p] = c
+        free ^= low
+        p += 1
 
 
 def _pinned(length: int, pool: Iterable[int], p: int, v: int) -> List[int]:
@@ -330,10 +415,12 @@ def enumerate_hamilton_ell_cycles(
         return 0 if mode == "count" else []
 
     windows = _windows(k, gap, n, True)
+    getters = [_getter(w) for w in windows]
     found: dict = {}
     for order in _cycle_orders(H, (range(n),), windows, gap, _Budget(budget)):
-        edge_set = frozenset(tuple(sorted(order[q] for q in w)) for w in windows)
-        found.setdefault(edge_set, order)
+        # the edge set, each edge as its vertex mask
+        bits = [1 << v for v in order]
+        found.setdefault(frozenset([sum(g(bits)) for g in getters]), order)
     if mode == "count":
         return len(found)
     return [EllCycle(o, k, ell) for o in found.values()]

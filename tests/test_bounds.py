@@ -21,6 +21,7 @@ from spancount import (
     multinomial,
     log_growth_bound,
 )
+from spancount.factors import matching_count_closed_form
 from spancount.paths import _Budget, _cycle_orders, _windows
 
 
@@ -193,6 +194,20 @@ class TestExpectedRandomCount:
     ])
     def test_orbit_count_at_n10(self, n, k, ell, want):
         assert expected_random_count(n, k, ell, 1).exact_value == want
+
+    @pytest.mark.parametrize("n,k", [(6, 2), (6, 3), (9, 3), (8, 4), (12, 4), (15, 3), (15, 5)])
+    def test_zero_cycles_of_the_complete_host_are_its_matchings(self, n, k):
+        # at ell = 0 a window class is a whole edge
+        assert expected_random_count(n, k, 0, 1).exact_value == matching_count_closed_form(n, k)
+
+    def test_window_host_count_at_48_4_2(self):
+        # N_W = 2^25: positions 2i and 2i+1 lie in the same two windows
+        n, q = 48, 24
+        count = expected_random_count(n, 4, 2, 1).exact_value
+        assert math.factorial(n) == q * 2 ** 25 * count
+
+    def test_24_5_1_fits_a_million_nodes(self):
+        assert expected_random_count(24, 5, 1, 1, budget=1_000_000).exact_value > 0
 
     @pytest.mark.parametrize("n,k,ell", SMALL_CYCLES)
     def test_fits_any_budget_the_enumeration_fits(self, n, k, ell):

@@ -328,6 +328,23 @@ class TestOneValidator:
             Hypergraph.from_edge_list(text)
         assert str(built.value) == str(parsed.value)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 10 ** 6), st.data())
+    def test_one_reversed_row_gives_the_sorted_host(self, k, seed, data):
+        H = gen_random(data.draw(st.integers(k + 1, 12)), k, 0.5, seed)
+        rows = sorted(H.edges)
+        if not rows:
+            return
+        i = data.draw(st.integers(0, len(rows) - 1))
+        reversed_rows = rows[:i] + [rows[i][::-1]] + rows[i + 1:]
+        assert Hypergraph(H.n, k, reversed_rows)._conbr == H._conbr
+        text = f"{H.n} {k}\n" + "".join(" ".join(map(str, e)) + "\n" for e in reversed_rows)
+        assert Hypergraph.from_edge_list(text)._conbr == H._conbr
+
+    def test_a_later_unsorted_row_with_a_repeat_is_named(self):
+        with pytest.raises(InvalidQueryError, match=r"edge \(1, 1, 2\) is not a set of 3"):
+            Hypergraph(4, 3, [(2, 1, 0), (0, 1, 3), (2, 1, 1), (1, 1, 3)])
+
 
 class TestDiracThreshold:
     # ell | notation: 1/2 when (k-ell) divides k, else the fractional value

@@ -1,0 +1,263 @@
+"""The ordered-window search kernel against a copy of its recursive form.
+
+`reference_search` is the search as it was before it became one loop with
+a class cut: a recursive generator that walks every ordering.  The kernel
+must yield exactly the class-sorted orderings of the reference, in the
+same order; with the cut off it must match it yield for yield and budget
+for budget.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spancount import BudgetExceededError, complete, enumerate_hamilton_ell_cycles, gen_random
+from spancount.bounds import expected_random_count
+from spancount.hypergraphs import Hypergraph, mask_vertices, vertex_mask
+from spancount.paths import (
+    _Budget,
+    _class_weight,
+    _ordered_search,
+    _pinned,
+    _power_windows,
+    _windows,
+)
+
+
+def reference_search(H, windows, length, allowed, budget):
+    """Every ordering of `length` vertices whose windows are edges of H,
+    positions filled in order from `allowed`, one budget node per entered
+    position: the recursive search, with no cut."""
+    closing = [[] for _ in range(length)]
+    for w in windows:
+        last = max(w)
+        closing[last].append(tuple(q for q in w if q != last))
+    order = [-1] * length
+    free = (1 << H.n) - 1
+    nbrs = H._codegree_neighbours()
+
+    def place(p):
+        nonlocal free
+        if p == length:
+            yield tuple(order)
+            return
+        if budget is not None:
+            budget.spend()
+        candidates = free & allowed[p]
+        for others in closing[p]:
+            candidates &= nbrs.get(tuple(sorted([order[q] for q in others])), 0)
+        for v in mask_vertices(candidates):
+            order[p] = v
+            free &= ~(1 << v)
+            yield from place(p + 1)
+            free |= 1 << v
+
+    return place(0)
+
+
+def class_sorter(windows, allowed):
+    """The function that puts the vertices of each class of an ordering
+    (positions in exactly the same windows, with the same allowed mask)
+    in ascending order."""
+    classes = {}
+    for p in range(len(allowed)):
+        key = (frozenset(i for i, w in enumerate(windows) if p in w), allowed[p])
+        classes.setdefault(key, []).append(p)
+    classes = [positions for positions in classes.values() if len(positions) > 1]
+
+    def class_sorted(order):
+        out = list(order)
+        for positions in classes:
+            for p, v in zip(positions, sorted(order[p] for p in positions)):
+                out[p] = v
+        return tuple(out)
+
+    return class_sorted
+
+
+def drain(orders):
+    """The orderings a search yields before it ends or runs out of budget,
+    and whether it ran out."""
+    found = []
+    try:
+        for order in orders:
+            found.append(order)
+    except BudgetExceededError:
+        return found, True
+    return found, False
+
+
+def nodes_of(H, windows, length, allowed):
+    """The nodes the reference search spends to finish."""
+    budget = _Budget(10 ** 9)
+    drain(reference_search(H, windows, length, allowed, budget))
+    return 10 ** 9 - budget.remaining
+
+
+# -- the layouts and the masks -------------------------------------------
+
+# (k, ell, length) of every ell-cycle layout with 0 <= ell < k <= 5 on at
+# most 7 positions, and the shortest one at (k, ell) = (5, 1)
+CYCLE_LAYOUTS = [
+    (k, ell, length)
+    for k in range(2, 6)
+    for ell in range(k)
+    for length in range(k, 8)
+    if length % (k - ell) == 0
+] + [(5, 1, 8)]
+
+
+@st.composite
+def layouts(draw):
+    """(k, length, windows): an ell-cycle or ell-path layout (0 <= ell < k
+    <= 5), a power of a tight cycle, or the edges of a random pattern F."""
+    kind = draw(st.sampled_from(["cycle", "path", "power", "pattern"]))
+    k = draw(st.integers(2, 5))
+    if kind == "cycle":
+        k, ell, length = draw(st.sampled_from(CYCLE_LAYOUTS))
+        return k, length, _windows(k, k - ell, length, True)
+    if kind == "path":
+        ell = draw(st.integers(0, k - 1))
+        gap = k - ell
+        length = ell + gap * draw(st.integers(1, max(1, (7 - ell) // gap)))
+        return k, length, _windows(k, gap, length, False)
+    if kind == "power":
+        k = draw(st.integers(2, 3))
+        t = draw(st.integers(k, 4))
+        length = draw(st.integers(t, 7))
+        return k, length, _power_windows(k, t, length)
+    length = draw(st.integers(k, 6))
+    edges = draw(st.lists(
+        st.lists(st.integers(0, length - 1), min_size=k, max_size=k, unique=True)
+        .map(lambda e: tuple(sorted(e))),
+        min_size=1, max_size=4, unique=True,
+    ))
+    return k, length, tuple(sorted(edges))
+
+
+@st.composite
+def masks(draw, n, length):
+    """Per-position allowed masks over a host on n vertices: one uniform
+    mask, a pinned position, pinned path ends, or rotated block arcs."""
+    kind = draw(st.sampled_from(["uniform", "pinned", "ends", "arcs"]))
+    pool = sorted(draw(st.sets(st.integers(0, n - 1), min_size=length, max_size=length + 2)))
+    if kind == "uniform":
+        return [vertex_mask(pool)] * length
+    if kind == "pinned":
+        return _pinned(length, pool, draw(st.integers(0, length - 1)), draw(st.sampled_from(pool)))
+    if kind == "ends":
+        ends = draw(st.integers(1, length // 2))
+        a, b = pool[:ends], pool[ends:2 * ends]
+        interior = vertex_mask(pool) & ~vertex_mask(a + b)
+        return [1 << v for v in a] + [interior] * (length - 2 * ends) + [1 << v for v in b]
+    # consecutive arcs of a partition of `length` vertices into blocks
+    cuts = sorted(draw(st.sets(st.integers(1, length - 1), max_size=3)))
+    vertices = draw(st.permutations(pool))[:length]
+    bounds = [0] + cuts + [length]
+    arcs = [vertex_mask(vertices[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) for _ in range(lo, hi)]
+    s = draw(st.integers(0, length - 1))
+    return arcs[length - s:] + arcs[:length - s]
+
+
+@st.composite
+def searches(draw):
+    k, length, windows = draw(layouts())
+    # at most 8 vertices keep the reference's full walk to 8! orderings
+    n = draw(st.integers(length, max(length, 8)))
+    H = gen_random(n, k, draw(st.sampled_from([0.6, 0.85, 1.0])), draw(st.integers(0, 10 ** 6)))
+    return H, windows, length, draw(masks(n, length))
+
+
+# -- the kernel against the reference ------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(searches())
+def test_cut_yields_the_class_sorted_reference_orderings(search):
+    H, windows, length, allowed = search
+    ref = list(reference_search(H, windows, length, allowed, None))
+    cut = list(_ordered_search(H, windows, length, allowed, None))
+    class_sorted = class_sorter(windows, allowed)
+    assert cut == [o for o in ref if o == class_sorted(o)]
+    assert set(cut) == set(map(class_sorted, ref))
+    assert cut[:1] == ref[:1]
+    # every kept ordering stands for the same number of the reference's
+    assert len(cut) * _class_weight(windows, length, allowed) == len(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(searches(), st.data())
+def test_without_the_cut_the_kernel_is_the_reference(search, data):
+    H, windows, length, allowed = search
+    ref = list(reference_search(H, windows, length, allowed, None))
+    assert list(_ordered_search(H, windows, length, allowed, None, cut=False)) == ref
+    nodes = nodes_of(H, windows, length, allowed)
+    for limit in {nodes, nodes - 1, data.draw(st.integers(0, nodes))}:
+        got = drain(_ordered_search(H, windows, length, allowed, _Budget(limit), cut=False))
+        assert got == drain(reference_search(H, windows, length, allowed, _Budget(limit)))
+    assert drain(_ordered_search(H, windows, length, allowed, _Budget(nodes), cut=False))[1] is False
+
+
+def test_a_pinned_position_breaks_no_class_chain():
+    # one edge at k = 4 with the anchor pinned in turn at each position: the
+    # other three positions form one class, so one injection per pin
+    edge = ((0, 1, 2, 3),)
+    K = complete(6, 4)
+    for i in range(4):
+        allowed = _pinned(4, range(6), i, 0)
+        found = list(_ordered_search(K, edge, 4, allowed, None))
+        assert len(found) == math.comb(5, 3)
+        assert len(list(reference_search(K, edge, 4, allowed, None))) == 6 * len(found)
+
+
+# -- the enumerator and N_W ------------------------------------------------
+
+
+def reference_enumeration(H, ell):
+    """The enumerator's cycles as orderings: the first ordering of each
+    edge set, in the order the recursive search finds them."""
+    n, k = H.n, H.k
+    gap = k - ell
+    windows = _windows(k, gap, n, True)
+    found = {}
+    for s in range(gap):
+        for order in reference_search(H, windows, n, _pinned(n, range(n), s, 0), None):
+            found.setdefault(frozenset(tuple(sorted(order[q] for q in w)) for w in windows), order)
+    return list(found.values())
+
+
+@pytest.mark.parametrize("n,k,ell,p,seed", [
+    (6, 2, 0, 1.0, 0), (8, 4, 0, 1.0, 0), (9, 3, 0, 0.7, 1),
+    (6, 2, 1, 0.8, 2), (7, 3, 2, 0.9, 3), (8, 3, 1, 0.9, 4),
+    (6, 4, 1, 1.0, 0), (9, 4, 1, 0.7, 5), (8, 4, 2, 0.8, 6),
+    (8, 5, 1, 1.0, 0), (8, 5, 1, 0.8, 7), (8, 5, 3, 0.9, 8),
+])
+def test_list_mode_returns_the_recursive_search_orderings(n, k, ell, p, seed):
+    H = gen_random(n, k, p, seed)
+    listed = enumerate_hamilton_ell_cycles(H, ell, mode="list")
+    assert [c.order for c in listed] == reference_enumeration(H, ell)
+    assert len(listed) == enumerate_hamilton_ell_cycles(H, ell)
+
+
+# every (n, k, ell) with 2 <= k <= 5, 0 <= ell < k, k <= n <= 8 and (k-ell) | n
+SMALL_CYCLES = [
+    (n, k, ell)
+    for k in range(2, 6)
+    for ell in range(k)
+    for n in range(k, 9)
+    if n % (k - ell) == 0
+]
+
+
+@pytest.mark.parametrize("n,k,ell", SMALL_CYCLES)
+def test_weighted_window_host_count_is_the_recursive_count(n, k, ell):
+    # N_W: the orderings of W, the cycle layout as a host, with 0 at a phase
+    gap = k - ell
+    windows = _windows(k, gap, n, True)
+    W = Hypergraph(n, k, windows)
+    N_W = sum(
+        1 for s in range(gap) for _ in reference_search(W, windows, n, _pinned(n, range(n), s, 0), None)
+    )
+    count = expected_random_count(n, k, ell, 1).exact_value
+    assert count * (n // gap) * N_W == math.factorial(n)
