@@ -147,22 +147,15 @@ def expected_random_count(
 
     The Hamilton ell-cycles of K_n^(k) are the images of one of them, W
     (the cyclic window layout on 0..n-1, as a host), under the n!
-    permutations, so there are n!/|Aut(W)| of them.  An ordering whose
-    windows are all edges of W is an automorphism; let N_W count those
-    with vertex 0 at a phase position.  Rotation by k-ell moves any
-    automorphism onto exactly one of them, freely, so |Aut(W)| =
-    (n/(k-ell)) * N_W.  The cyclic search fills each window class in
-    ascending order, so it finds one ordering per orbit of the class
-    permutations, and each stands for the product of |class|! over the
-    classes of its phase s (vertex 0, pinned at s, is a class of its
-    own).  N_W is the sum of those weights, and at (48, 4, 2) it is 2^25
-    from 4 orderings found.  That search is a subtree of the one that
-    would enumerate K_n's cycles, so `budget` bounds it as it would the
+    permutations, so there are n!/|Aut(W)| of them, and |Aut(W)| =
+    (n/(k-ell)) * N_W with N_W the orbit count on W (`paths._orbit_count`,
+    which states the argument); at (48, 4, 2) N_W is 2^25, from 4
+    orderings found.  That search is a subtree of the one that would
+    enumerate K_n's cycles, so `budget` bounds it as it would the
     enumeration.  |E(C)| is W's count of distinct windows: n/(k-ell),
     except at n = k, where every window is the one edge.
     """
-    from .hypergraphs import Hypergraph
-    from .paths import _Budget, _class_weight, _cycle_orders, _pinned, _windows
+    from .paths import _orbit_count
 
     delta = Fraction(delta)
     if not 0 <= delta <= 1:
@@ -176,14 +169,5 @@ def expected_random_count(
         raise DivisibilityError(f"(k-ell)={gap} must divide n={n}")
     if n < k:
         return count_bound_from_exact(Fraction(0))
-    windows = _windows(k, gap, n, True)
-    W = Hypergraph(n, k, windows)
-    # the search pins vertex 0 at the phase s, so an ordering's phase is
-    # where 0 sits, and it stands for the weight of its phase's classes
-    weight = [_class_weight(windows, n, _pinned(n, range(n), s, 0)) for s in range(gap)]
-    automorphisms = n // gap * sum(
-        weight[order.index(0)]
-        for order in _cycle_orders(W, (range(n),), windows, gap, _Budget(budget))
-    )
-    count = math.factorial(n) // automorphisms
-    return count_bound_from_exact(count * delta ** W.num_edges())
+    count = math.factorial(n) // (n // gap * _orbit_count(n, k, ell, budget))
+    return count_bound_from_exact(count * delta ** (1 if n == k else n // gap))

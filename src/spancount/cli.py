@@ -270,6 +270,7 @@ def cmd_stitch(args) -> Dict:
 def cmd_count(args) -> Dict:
     H = _load_host(args.input)
     delta = None if args.delta is None else _fraction(args.delta, "--delta")
+    _require(delta is None or 0 <= delta <= 1, f"--delta must lie in [0, 1], got {args.delta}")
     count = enumerate_hamilton_ell_cycles(H, args.ell, mode="count", budget=args.budget)
     results = {"n": H.n, "k": H.k, "ell": args.ell, "count": count}
     if delta is not None:

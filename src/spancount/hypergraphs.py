@@ -19,12 +19,15 @@ a table of the names of 0..n-1, sends the whole text to the
 line-by-line reader, whose messages name the fault.  The table is built
 only when the text holds at least n entries.
 
-The masks come from one of two builders, picked by the input alone.
-When n**k is at most `_CELLS_PER_EDGE` (32) bytes per edge, with n one
-more than the largest vertex, the masks are read off a transient
-n**k-byte edge indicator, k strided slices per mask; otherwise each
-edge sets its k bits one at a time, so a sparse host or one with large
-n costs no n**k bytes.
+The masks come from one of two builders, picked by the input alone,
+with n one more than the largest vertex.  The edge indicator reads the
+masks off a transient n**k-byte table, k strided slices per mask, in
+one Python step for each of the C(n, k-1) (k-1)-sets; the per-edge
+builder sets each edge's k bits one at a time.  The indicator is taken
+when n**k is at most `_CELLS_PER_EDGE` (32) bytes per edge, so a sparse
+host or one with large n costs no n**k bytes, and the edges put at
+least `_EDGES_PER_SET` (16) bits on each (k-1)-set on average
+(k*|E| >= 16*C(n, k-1)), so its per-set step pays off.
 
 A mask is as wide as its largest vertex, so on a dense host (the
 paper's setting) the masks are smaller than the edge set, but a sparse
@@ -60,6 +63,12 @@ _CHUNK = 1 << 18
 # per-edge builder was faster from about 40 cells per edge at k = 3 (n = 96,
 # 128) and 32 at k = 2; n128k3, n96k3 and n48k4 at p = 0.97 need 6.3, 6.4, 28.
 _CELLS_PER_EDGE = 32
+
+# The indicator spends one Python step per (k-1)-set, the per-edge builder one
+# per edge bit: best of 5 on binomial hosts, they broke even at about 16 bits
+# per set (n18k3 p 0.9: 14.4 bits, 685 against 661 us; n20k3: 16.3 bits, 951
+# against 1,021 us), and the oracles hosts carry 5-10.
+_EDGES_PER_SET = 16
 
 
 class Hypergraph:
@@ -308,7 +317,9 @@ def _masks(n: int, cols) -> Dict[Edge, int]:
     if min(cols[0]) < 0 or max(cols[-1]) >= n:
         bad = next(e for e in zip(*cols) if e[0] < 0 or e[-1] >= n)
         raise InvalidQueryError(f"edge {bad} has vertices outside 0..{n - 1}")
-    if (max(cols[-1]) + 1) ** len(cols) <= _CELLS_PER_EDGE * len(cols[0]):
+    # the indicator spans 0..top-1
+    top, k, rows = max(cols[-1]) + 1, len(cols), len(cols[0])
+    if top**k <= _CELLS_PER_EDGE * rows and k * rows >= _EDGES_PER_SET * comb(top, k - 1):
         return _indicator_masks(cols)
     return _edge_masks(cols)
 

@@ -22,20 +22,22 @@ in exactly the same windows and draw from the same allowed mask; any
 permutation of the vertices inside classes keeps every window's vertex
 set.  So the search fills each class in ascending order (the class
 cut), which keeps the first ordering it finds and the least ordering of
-every edge set.  The enumerator, the stitchers, the absorbers' path
-tests and the F-factor copies read no more than that.  A caller that
-needs every ordering either weights each one by the product of its
-classes' sizes' factorials (`_class_weight`, as the count of K_n's
-cycles does) or turns the cut off (`cut=False`, as the absorbers' outer
-count of candidate paths does, because it reads the paths' ends).
+every edge set.  The enumerator's list mode, the stitchers, the
+absorbers' path tests and the F-factor copies read no more than that.
+A caller that needs every ordering either weights each one by the
+product of its classes' sizes' factorials (`_class_weight`, as the
+orbit count does) or turns the cut off (`cut=False`, as the absorbers'
+outer count of candidate paths does, because it reads the paths' ends).
 
 Searches carry explicit node budgets, one node per position entered, so
 a budget bounds the nodes of the cut search tree; a partial result never
 masquerades as an exact one.
 
 Hamilton ell-cycles are counted as sub-hypergraphs (distinct edge
-sets), not orderings; rotations, reflections and small-n coincidences
-are deduplicated by canonicalizing each found cycle's edge set.
+sets), not orderings, by one orbit count (`_orbit_count`): every cycle
+stands for the same number of orderings, which the same count on the
+window layout W, taken as a host, gives.  So counting builds no edge
+set; only listing keys cycles by their edge sets.
 """
 
 from __future__ import annotations
@@ -391,6 +393,45 @@ def _search_path(
 # -- Hamilton cycle enumeration ------------------------------------------
 
 
+def _orbit_count(
+    n: int, k: int, ell: int, budget: Optional[int], H: Optional[Hypergraph] = None
+) -> int:
+    """The orderings of 0..n-1 (n >= k) whose cyclic ell-windows are all
+    edges of H and that put vertex 0 at a phase position s < k-ell; with
+    H None, those of W, the window layout on 0..n-1 taken as a host.
+
+    This is the one count of Hamilton ell-cycles.  Each Hamilton
+    ell-cycle C is a copy of W, so the orderings whose windows are
+    exactly C's edges are one coset of Aut(W), |Aut(W)| of them.
+    Rotation by k-ell is an automorphism of W that moves vertex 0 on by
+    k-ell positions, so it splits that coset into orbits of n/(k-ell),
+    each with vertex 0 at exactly one phase.  So every cycle of H stands
+    for the same number of the orderings counted here, N_W, the count
+    on W itself: the count on H is count(H) * N_W, and |Aut(W)| =
+    n/(k-ell) * N_W.
+
+    The search pins vertex 0 at phase s (`_cycle_orders` with the one
+    block 0..n-1) and fills each window class in ascending order, so it
+    finds one ordering per orbit of the class permutations; each stands
+    for the product of |class|! over its phase's classes, vertex 0 being
+    a class of its own.  The search spends at most `budget` nodes, and
+    its error names the host it ran on.
+    """
+    gap = k - ell
+    windows = _windows(k, gap, n, True)
+    host = Hypergraph(n, k, windows) if H is None else H
+    weight = [_class_weight(windows, n, _pinned(n, range(n), s, 0)) for s in range(gap)]
+    orders = _cycle_orders(host, (range(n),), windows, gap, _Budget(budget))
+    try:
+        return sum(weight[order.index(0)] for order in orders)
+    except BudgetExceededError:
+        search = "the host's cycle search" if H is not None else (
+            "the cycle search on W, the window layout as a host")
+        raise BudgetExceededError(
+            f"search budget {budget} exhausted in {search}; result invalid"
+        ) from None
+
+
 def enumerate_hamilton_ell_cycles(
     H: Hypergraph,
     ell: int,
@@ -399,9 +440,12 @@ def enumerate_hamilton_ell_cycles(
 ):
     """Count (or list) the distinct Hamilton ell-cycles of H.
 
-    Distinctness is by edge set: each complete ordering's cyclic
-    windows are canonicalized and deduplicated, so rotations and
-    reflections of the same sub-hypergraph count once.
+    Distinctness is by edge set, so rotations and reflections of the
+    same sub-hypergraph count once.  Count mode divides `_orbit_count`
+    on H by the same count on W, the window layout as a host, which it
+    searches only when H has a cycle; each search spends at most
+    `budget` nodes.  List mode keeps the first ordering the search finds
+    of each edge set, in search order.
     """
     if mode not in ("count", "list"):
         raise InvalidQueryError(f"mode must be 'count' or 'list', got {mode!r}")
@@ -414,13 +458,16 @@ def enumerate_hamilton_ell_cycles(
     if n < k or not H._codegree_neighbours():
         return 0 if mode == "count" else []
 
-    windows = _windows(k, gap, n, True)
-    getters = [_getter(w) for w in windows]
-    found: dict = {}
-    for order in _cycle_orders(H, (range(n),), windows, gap, _Budget(budget)):
-        # the edge set, each edge as its vertex mask
-        bits = [1 << v for v in order]
-        found.setdefault(frozenset([sum(g(bits)) for g in getters]), order)
-    if mode == "count":
-        return len(found)
-    return [EllCycle(o, k, ell) for o in found.values()]
+    if mode == "list":
+        windows = _windows(k, gap, n, True)
+        cycles: dict = {}
+        for order in _cycle_orders(H, (range(n),), windows, gap, _Budget(budget)):
+            cycle = EllCycle(order, k, ell)
+            cycles.setdefault(cycle.edge_set(), cycle)
+        return list(cycles.values())
+    orbits = _orbit_count(n, k, ell, budget, H)
+    if not orbits:
+        return 0
+    count, rest = divmod(orbits, _orbit_count(n, k, ell, budget))
+    assert not rest, f"{orbits} orderings do not split into cycles of the same count"
+    return count

@@ -403,9 +403,29 @@ class TestStitchTrial:
 
 
 class TestCountCommand:
+    def test_delta_outside_zero_one_is_2_before_any_search(self, host, capsys):
+        # a one-node budget would run out in the host's own search first
+        argv = ["count", "--input", host, "--ell", "2", "--budget", "1"]
+        assert main(argv + ["--delta", "3/2"]) == 2
+        assert capsys.readouterr().err == "error: --delta must lie in [0, 1], got 3/2\n"
+
+    def test_budget_exhaustion_names_the_search(self, host, tmp_path, capsys):
+        assert main(["count", "--input", host, "--ell", "1", "--budget", "2"]) == 3
+        assert capsys.readouterr().err == (
+            "error: search budget 2 exhausted in the host's cycle search; result invalid\n")
+        # an edgeless host needs no search of its own, so Psi's search on W runs out
+        edgeless = tmp_path / "edgeless.txt"
+        edgeless.write_text("16 3\n")
+        assert main(["count", "--input", str(edgeless), "--ell", "1", "--delta", "1/2",
+                     "--budget", "1"]) == 3
+        assert capsys.readouterr().err == (
+            "error: search budget 1 exhausted in the cycle search on W, the window layout as"
+            " a host; result invalid\n")
+
     def test_expected_random_count_beyond_enumeration(self, tmp_path):
-        # the host's own search and Psi's search each spend 1,120 nodes; enumerating
-        # K_24^(3)'s Hamilton 1-cycles would exhaust the budget
+        # the host is W, so its own search and the two on W (count's denominator
+        # and Psi's) each spend 1,120 nodes; enumerating K_24^(3)'s Hamilton
+        # 1-cycles would exhaust the budget
         hostfile = tmp_path / "pc.txt"
         assert main(["generate", "--family", "planted-cycle", "--n", "24", "--k", "3",
                      "--ell", "1", "--out", str(hostfile)]) == 0

@@ -192,6 +192,15 @@ class TestCanonicalText:
             cols = list(zip(*edges))
             assert _indicator_masks(cols) == _edge_masks(cols)
 
+    @pytest.mark.parametrize("n, k, p, builder", [
+        (9, 3, 0.9, _edge_masks),  # an oracles host: about 6 edge bits per pair
+        (96, 3, 0.97, _indicator_masks),  # a stitch host: about 91 bits per pair
+    ], ids=["oracles-n9k3", "stitch-n96k3"])
+    def test_the_builder_is_picked_by_cells_per_edge_and_bits_per_set(self, n, k, p, builder):
+        other = ({_edge_masks, _indicator_masks} - {builder}).pop()
+        with mock.patch.object(hypergraphs, other.__name__, side_effect=AssertionError(other)):
+            assert gen_random(n, k, p, 1).num_edges() > 0
+
     @pytest.mark.parametrize("build, text, edge", [
         (Hypergraph.from_edge_list, "1000000000 3\n0 1 2\n", (0, 1, 2)),
         (Hypergraph.from_edge_list, "3000 2\n0 2999\n", (0, 2999)),

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spancount import (
     BudgetExceededError,
@@ -22,7 +22,7 @@ from spancount import (
 )
 from spancount.absorb import can_absorb
 from spancount.hypergraphs import Hypergraph
-from spancount.paths import _search_path
+from spancount.paths import _orbit_count, _search_path
 
 
 class TestStructures:
@@ -117,6 +117,18 @@ class TestHamiltonPath:
             can_absorb(complete(11, 3), P, [{5, 6}], budget=2)
 
 
+@st.composite
+def cycle_hosts(draw):
+    """(H, ell): a random host with 0 <= ell < k <= 5 on n <= 10 vertices,
+    (k-ell) | n, edgeless at p = 0; dense hosts only below n = 9, where
+    list mode has at most a few thousand cycles to hold."""
+    k = draw(st.integers(2, 5))
+    ell = draw(st.integers(0, k - 1))
+    n = draw(st.sampled_from([n for n in range(k, 11) if n % (k - ell) == 0]))
+    p = draw(st.sampled_from([0.0, 0.3, 0.5] + [0.8, 1.0] * (n < 9)))
+    return gen_random(n, k, p, draw(st.integers(0, 1 << 16))), ell
+
+
 class TestEnumeration:
     # (n-1)!/2 distinct Hamilton cycles of the complete graph
     @pytest.mark.parametrize("n,expected", [(5, 12), (6, 60), (7, 360)])
@@ -151,3 +163,23 @@ class TestEnumeration:
     def test_divisibility(self):
         with pytest.raises(DivisibilityError):
             enumerate_hamilton_ell_cycles(complete(7, 3), 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cycle_hosts())
+    @example((complete(4, 4), 0))  # n = k and ell = 0: every window is the one edge
+    @example((complete(6, 4), 2))  # k < n < 2k
+    @example((empty(9, 3), 2))
+    def test_orbit_count_is_the_number_of_edge_sets(self, case):
+        # count mode divides weighted orderings; list mode keys them by edge set
+        H, ell = case
+        listed = enumerate_hamilton_ell_cycles(H, ell, mode="list")
+        assert enumerate_hamilton_ell_cycles(H, ell) == len(listed)
+
+    def test_the_window_host_is_not_searched_without_a_cycle(self):
+        # the one-edge host's search spends 62 nodes, the window host's 182
+        H = Hypergraph(10, 3, [(0, 1, 2)])
+        assert enumerate_hamilton_ell_cycles(H, 1, budget=62) == 0
+        with pytest.raises(BudgetExceededError):
+            enumerate_hamilton_ell_cycles(H, 1, budget=61)
+        with pytest.raises(BudgetExceededError):
+            _orbit_count(10, 3, 1, 62)
