@@ -110,6 +110,13 @@ def _require(condition: bool, message: str) -> None:
         raise InvalidQueryError(message)
 
 
+def _budget(text: str) -> int:
+    """A --budget value: a node count, 0 or more."""
+    if int(text) < 0:  # argparse turns a ValueError into exit 2 as well
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _fraction(text: str, option: str) -> Fraction:
     """A rational option value such as 1/2 or 0.97."""
     try:
@@ -161,6 +168,8 @@ def cmd_generate(args) -> Dict:
 def cmd_partition(args) -> Dict:
     H = _load_host(args.input)
     _require(args.ell is None or args.divisor is None, "give --ell or --divisor, not both")
+    _require(args.ell is None or 0 <= args.ell < H.k,
+             f"--ell must lie in 0..{H.k - 1}, got {args.ell}")
     divisor = args.divisor
     if divisor is None:
         divisor = H.k - args.ell if args.ell is not None else 1
@@ -193,8 +202,7 @@ def _stitch_trial(payload) -> tuple:
     """
     H, sv, target, power_mode, param, root_seed, trial, budget = payload
     part = Partition(tuple(draw_bisection(H, sv, derive_seed(root_seed, "bisect", trial))[-1]))
-    report = check_good(H, part, target, sizes=sv.sizes, max_violations=1)
-    if not report.good:
+    if not check_good(H, part, target, sizes=sv.sizes, max_violations=1).good:
         return (False, False, None)
     stitch = stitch_power_cycle if power_mode else stitch_cycle
     try:
@@ -405,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", help="report path (stdout if omitted); never overwritten")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         if searches:
-            p.add_argument("--budget", type=int, help="search node budget")
+            p.add_argument("--budget", type=_budget, help="search node budget")
         if seeded:
             p.add_argument("--seed", type=int, default=0)
 

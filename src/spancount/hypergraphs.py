@@ -3,9 +3,9 @@
 Vertices are dense integers 0..n-1 and edges are sorted k-tuples.  A
 hypergraph is immutable after construction.  Its codegree index maps
 each sorted (k-1)-tuple U to one int bitmask whose bit v is set iff
-U + {v} is an edge.  A degree into a vertex set S is then
-`(mask & S's mask).bit_count()`, and the searches cut their candidates
-down with `&`.  Codegree queries dominate the partition goodness checks.
+U + {v} is an edge.  Every degree count, for any |U| < k, comes from
+one kernel over these masks, `_degrees`; the searches cut their
+candidates down with `&`.
 
 Every host stores only these masks: `Hypergraph(n, k, edges)` and
 `from_edge_list` hand the edges' columns to one validator that builds
@@ -48,7 +48,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import InvalidQueryError
 
@@ -147,7 +147,7 @@ class Hypergraph:
         return set(mask_vertices(self._codegree_neighbours().get(u, 0)))
 
     def degree(self, U: Iterable[int], S: Iterable[int]) -> int:
-        """d(U, S): edges containing U whose remaining vertices all lie in S."""
+        """d(U, S), |U| < k: edges containing U whose other vertices lie in S, from `_degrees`."""
         u = frozenset(U)
         s = frozenset(S)
         if len(u) >= self.k:
@@ -156,21 +156,13 @@ class Hypergraph:
             raise InvalidQueryError(f"U and S must be disjoint, share {sorted(u & s)}")
         if any(v < 0 or v >= self.n for v in u | s):
             raise InvalidQueryError("U and S must be subsets of the vertex set")
-        if len(u) == self.k - 1:
-            nbrs = self._codegree_neighbours().get(tuple(sorted(u)), 0)
-            return (nbrs & vertex_mask(s)).bit_count()
-        count = 0
-        for e in self.edges:
-            es = set(e)
-            if u <= es and es - u <= s:
-                count += 1
-        return count
+        return _degrees(self, u, len(u), s)[1][0]
 
     def min_d_degree(self, d: int, within: Optional[Iterable[int]] = None) -> int:
         """Minimum of d_H(S) over all d-subsets S; d = k-1 is the codegree.
 
         With `within`, the minimum of d_{H[within]}(S) over the d-subsets S
-        of `within`: only edges inside `within` count."""
+        of `within`: only edges inside `within` count.  A min over `_degrees`."""
         if not 1 <= d <= self.k - 1:
             raise InvalidQueryError(f"d = {d} must satisfy 1 <= d <= k-1 = {self.k - 1}")
         inside = frozenset(range(self.n) if within is None else within)
@@ -178,14 +170,7 @@ class Hypergraph:
             raise InvalidQueryError("within must be a subset of the vertex set")
         if len(inside) < d:
             raise InvalidQueryError(f"no {d}-subsets among {len(inside)} vertices")
-        hits: Dict[Edge, int] = {}
-        for e in self.edges:
-            if inside.issuperset(e):
-                for s in itertools.combinations(e, d):
-                    hits[s] = hits.get(s, 0) + 1
-        if len(hits) < comb(len(inside), d):
-            return 0
-        return min(hits.values())
+        return min(_degrees(self, inside, d, inside)[1])
 
     # -- serialization ---------------------------------------------------
 
@@ -365,6 +350,28 @@ def _indicator_masks(cols) -> Dict[Edge, int]:
         if m:
             nbr[u] = m
     return nbr
+
+
+def _degrees(
+    H: Hypergraph, pool: Iterable[int], d: int, target: Collection[int]
+) -> Tuple[List[Edge], List[int]]:
+    """The degree kernel: the d-subsets D of `pool`, d < k, in lexicographic
+    order, and the list of their degrees d(D, target - D).
+
+    At d = k-1 it is one `&` of D's mask with the target's and a popcount
+    (a mask never holds its key's vertices).  Below k-1 it sums
+    |mask(D + T) & target| over the (k-1-d)-subsets T of target - D and
+    divides by k-d: an edge counts once for each of its k-d keys holding D."""
+    get = H._codegree_neighbours().get
+    tmask = vertex_mask(target)
+    subsets = list(itertools.combinations(sorted(pool), d))
+    if d == H.k - 1:
+        return subsets, [(get(D, 0) & tmask).bit_count() for D in subsets]
+    counts = []
+    for D in subsets:
+        rest = itertools.combinations(sorted(set(target).difference(D)), H.k - 1 - d)
+        counts.append(sum((get(tuple(sorted(D + T)), 0) & tmask).bit_count() for T in rest))
+    return subsets, [c // (H.k - d) for c in counts]
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:

@@ -9,9 +9,9 @@ fractional-power terms (m^{-1/4}, m^{-1/3}); each is turned once, in
 exact integer arithmetic, into the least integer degree that meets
 it, so marginal events never flip on rounding.
 
-The degree events and `check_good` scan one degree kernel, `_degrees`:
-d(U, V_i) for every (k-1)-set U of a three-block neighbourhood, each
-one `&` of U's codegree bitmask with V_i's and a popcount.
+The degree events, `check_good` and `check_good_factor` count degrees
+with one kernel, `hypergraphs._degrees`, over the codegree masks, and
+the two checks share one violation scan, `_scan`.
 
 At desk scale the thresholds frequently clamp to zero (events
 vacuously true); each event records whether that happened so
@@ -26,11 +26,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, InvalidQueryError
-from .hypergraphs import GoodnessSpec, Hypergraph, vertex_mask
+from .hypergraphs import GoodnessSpec, Hypergraph, _degrees
 
 
 # -- size vectors --------------------------------------------------------
@@ -190,30 +189,19 @@ def _least_degree(spec: GoodnessSpec, m: int, exponent_den: int) -> int:
     return next(d for d in itertools.count() if degree_meets_threshold(d, spec, m, exponent_den))
 
 
-def _degrees(
-    H: Hypergraph, blocks: Sequence[Tuple[int, ...]], j: int, block: Sequence[int]
-) -> Iterator[Tuple[Tuple[int, ...], int]]:
-    """The degree kernel: (U, d(U, block)) for every (k-1)-set U of blocks
-    j-1, j and j+1 (cyclically), in lexicographic order.
-
-    A codegree set never contains U's own vertices, so the count equals
-    H.degree(U, block - U).
-    """
-    r = len(blocks)
-    hood = set(blocks[(j - 1) % r]) | set(blocks[j]) | set(blocks[(j + 1) % r])
-    nbrs = H._codegree_neighbours()
-    bmask = vertex_mask(block)
-    for U in itertools.combinations(sorted(hood), H.k - 1):
-        yield U, (nbrs.get(U, 0) & bmask).bit_count()
+def _hood_degrees(H: Hypergraph, blocks: Sequence[Tuple[int, ...]], j: int, block):
+    """The degree kernel into `block` over blocks j-1, j and j+1, cyclically."""
+    hood = {*blocks[j - 1], *blocks[j], *blocks[(j + 1) % len(blocks)]}
+    return _degrees(H, hood, H.k - 1, block)
 
 
 def _event(
     H: Hypergraph, blocks: Sequence[Tuple[int, ...]], j: int, block, spec: GoodnessSpec, e: int
 ) -> Tuple[bool, bool]:
     """(holds, clamped) for the -1/e degree event of `block`, U ranging over
-    blocks j-1, j and j+1; the scan stops at the first U that fails."""
+    blocks j-1, j and j+1; a clamped event reads no degree."""
     need = _least_degree(spec, len(block), e)
-    return need == 0 or all(d >= need for _U, d in _degrees(H, blocks, j, block)), need == 0
+    return need == 0 or min(_hood_degrees(H, blocks, j, block)[1], default=need) >= need, need == 0
 
 
 # -- random bisection ----------------------------------------------------
@@ -291,6 +279,25 @@ class GoodnessReport:
     truncated: bool = False
 
 
+def _scan(blocks, bound: Fraction, max_violations: int) -> GoodnessReport:
+    """The violation scan of both goodness checks.  `blocks` yields (i, scale,
+    (sets, counts)); set D violates when its count / scale < bound."""
+    violations: List[Tuple[int, Tuple[int, ...]]] = []
+    ratios: List[Fraction] = []
+    for i, scale, (sets, counts) in blocks:
+        if not counts:
+            continue
+        ratios.append(Fraction(min(counts), scale))
+        if ratios[-1] < bound:  # only then does some D of this block violate
+            # count / scale < bound, in integers
+            num, den = bound.numerator * scale, bound.denominator
+            violations += [(i, D) for D, count in zip(sets, counts) if count * den < num]
+    cap = max(max_violations, 0)
+    return GoodnessReport(
+        not violations, violations[:cap], min(ratios, default=None), len(violations) > cap
+    )
+
+
 def check_good(
     H: Hypergraph,
     P: Partition,
@@ -308,27 +315,10 @@ def check_good(
     delta = Fraction(delta)
     if P.vertex_set() != frozenset(range(H.n)):
         raise InvalidQueryError("partition must cover exactly the host's vertex set")
-    violations: List[Tuple[int, Tuple[int, ...]]] = []
-    truncated = False
     if sizes is not None and tuple(sizes) != P.sizes():
         return GoodnessReport(False, [], None)
-    min_ratio: Optional[Fraction] = None
-    for i, block in enumerate(P.blocks):
-        # d / |V_i| < delta, in integers
-        num, den = delta.numerator * len(block), delta.denominator
-        least = None
-        for U, d in _degrees(H, P.blocks, i, block):
-            if least is None or d < least:
-                least = d
-            if d * den < num:
-                if len(violations) < max_violations:
-                    violations.append((i, U))
-                else:
-                    truncated = True
-        if least is not None:
-            ratio = Fraction(least, len(block))
-            min_ratio = ratio if min_ratio is None else min(min_ratio, ratio)
-    return GoodnessReport(not violations and not truncated, violations, min_ratio, truncated)
+    blocks = ((i, len(b), _hood_degrees(H, P.blocks, i, b)) for i, b in enumerate(P.blocks))
+    return _scan(blocks, delta, max_violations)
 
 
 def check_good_factor(
@@ -338,25 +328,20 @@ def check_good_factor(
     mu,
     max_violations: int = 50,
 ) -> GoodnessReport:
-    """Exact check of (n, d, mu)-goodness: per block,
-    delta_d(H[V_i]) >= mu * C(n_i, k-d)."""
+    """Exact check of (n, d, mu)-goodness: per block, delta_d(H[V_i]) >=
+    mu * C(n_i, k-d).  The report lists violating (i, D), D a d-set of V_i,
+    up to a cap; a block with C(n_i, k-d) = 0 is skipped, and one with
+    fewer than d vertices has ratio 0, reported as (i, ())."""
     if not 1 <= d <= H.k - 1:
         raise InvalidQueryError(f"d = {d} must satisfy 1 <= d <= k-1 = {H.k - 1}")
-    mu = Fraction(mu)
-    violations: List[Tuple[int, Tuple[int, ...]]] = []
-    min_ratio: Optional[Fraction] = None
-    for i, block in enumerate(P.blocks):
-        ni = len(block)
-        denom = comb(ni, H.k - d)
-        if denom == 0:
-            continue
-        deg = H.min_d_degree(d, within=block) if ni >= d else 0
-        ratio = Fraction(deg, denom)
-        if min_ratio is None or ratio < min_ratio:
-            min_ratio = ratio
-        if ratio < mu and len(violations) < max_violations:
-            violations.append((i, ()))
-    return GoodnessReport(not violations, violations, min_ratio)
+    if any(v < 0 or v >= H.n for v in P.vertex_set()):
+        raise InvalidQueryError("partition blocks must be subsets of the vertex set")
+    blocks = (
+        (i, scale, _degrees(H, block, d, block) if len(block) >= d else ([()], [0]))
+        for i, block in enumerate(P.blocks)
+        if (scale := math.comb(len(block), H.k - d))
+    )
+    return _scan(blocks, Fraction(mu), max_violations)
 
 
 # -- hypergeometric bound ------------------------------------------------
@@ -433,9 +418,7 @@ def estimate_good_probability(
     cond = [[0, 0] for _ in range(s)]
     for trial in range(trials):
         part, trace = random_bisection(H, sv, spec, seed=derive_seed(seed, "trial", trial))
-        report = check_good(H, part, target, sizes=sv.sizes, max_violations=1)
-        if report.good:
-            successes += 1
+        successes += check_good(H, part, target, sizes=sv.sizes, max_violations=1).good
         for i in range(1, s + 1):
             if trace.level_event(i - 1):
                 cond[i - 1][1] += 1

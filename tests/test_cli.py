@@ -387,6 +387,30 @@ class TestExitCodes:
             main(argv + ["--budget", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["count", "stitch", "factors", "absorb-classify"])
+    def test_budget_below_zero_is_2_before_any_search(self, host, command):
+        argv = {
+            "count": ["count", "--input", host, "--ell", "1"],
+            "stitch": ["stitch", "--input", host, "--ell", "2", "--m", "2", "--delta", "1/2",
+                       "--gamma", "1/10", "--trials", "1"],
+            "factors": ["factors", "--input", host],
+            "absorb-classify": ["absorb-classify", "--input", host, "--ell", "2", "--t", "4"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--budget", "-1"])
+        assert exc.value.code == 2
+        assert cli.build_parser().parse_args(argv + ["--budget", "0"]).budget == 0
+
+    @pytest.mark.parametrize("ell", ["-1", "3"])
+    def test_partition_ell_outside_zero_to_k_is_2(self, tmp_path, capsys, ell):
+        k24 = tmp_path / "k24.txt"
+        assert main(["generate", "--family", "complete", "--n", "24", "--k", "3",
+                     "--out", str(k24)]) == 0
+        capsys.readouterr()
+        assert main(["partition", "--input", str(k24), "--m", "6", "--delta", "1/2",
+                     "--gamma", "1/10", "--trials", "1", "--ell", ell]) == 2
+        assert capsys.readouterr().err == f"error: --ell must lie in 0..2, got {ell}\n"
+
 
 class TestStitchTrial:
     def test_stitches_the_random_bisection_partition(self, monkeypatch):

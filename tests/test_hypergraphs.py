@@ -14,7 +14,9 @@ from spancount import (
     GoodnessSpec,
     Hypergraph,
     InvalidQueryError,
+    Partition,
     check_good,
+    check_good_factor,
     complete,
     dirac_threshold,
     empty,
@@ -38,7 +40,7 @@ def brute_degree(H, U, S):
 
 @st.composite
 def random_hosts(draw):
-    k = draw(st.integers(2, 4))
+    k = draw(st.integers(2, 5))
     n = draw(st.integers(k, 8))
     all_edges = list(itertools.combinations(range(n), k))
     edges = [e for e in all_edges if draw(st.booleans())]
@@ -80,7 +82,7 @@ class TestDegrees:
     @given(random_hosts(), st.data())
     def test_degree_matches_brute_force(self, H, data):
         U = data.draw(
-            st.sets(st.integers(0, H.n - 1), min_size=1, max_size=H.k - 1)
+            st.sets(st.integers(0, H.n - 1), max_size=H.k - 1)
         )
         S = data.draw(st.sets(st.integers(0, H.n - 1), max_size=H.n))
         assert H.degree(U, S - U) == brute_degree(H, U, S - U)
@@ -99,7 +101,7 @@ class TestDegrees:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_codegree_index_matches_brute_force(self, data):
-        k = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(1, 5))
         n = data.draw(st.integers(k, 9))
         p = data.draw(st.floats(0, 1))
         H = gen_random(n, k, p, seed=data.draw(st.integers(0, 2**32)))
@@ -123,6 +125,33 @@ class TestDegrees:
                 for D in itertools.combinations(range(H.n), d)
             )
             assert H.min_d_degree(d) == ref
+
+    def test_degree_queries_never_walk_the_edge_set(self):
+        hosts = [gen_random(9, k, 0.7, seed=k) for k in range(2, 6)]
+
+        def least(H, d, inside):
+            return min(brute_degree(H, D, set(inside) - set(D))
+                       for D in itertools.combinations(inside, d))
+
+        want = [([brute_degree(H, range(u), range(u, 9)) for u in range(H.k)],
+                 [(least(H, d, range(9)), least(H, d, range(1, 9))) for d in range(1, H.k)])
+                for H in hosts]
+
+        def walked(self):
+            raise AssertionError("a degree query walked the edge set")
+
+        spec = GoodnessSpec(Fraction(1, 2), Fraction(1, 10))
+        P = Partition((tuple(range(0, 9, 2)), tuple(range(1, 9, 2))))
+        with mock.patch.object(Hypergraph, "edges", property(walked)):
+            for H, (degrees, minima) in zip(hosts, want):
+                assert [H.degree(range(u), range(u, 9)) for u in range(H.k)] == degrees
+                assert [(H.min_d_degree(d), H.min_d_degree(d, within=range(1, 9)))
+                        for d in range(1, H.k)] == minima
+                for d in range(1, H.k):
+                    assert check_good_factor(H, P, d, Fraction(1, 2)).min_ratio is not None
+                assert check_good(H, P, Fraction(1, 2)).min_ratio is not None
+                part, _ = random_bisection(H, size_vector(9, 2, 1, H.k), spec, seed=1)
+                assert part.vertex_set() == frozenset(range(9))
 
     def test_min_d_degree_within_must_hold_d_host_vertices(self):
         H = complete(6, 3)

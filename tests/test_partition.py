@@ -234,7 +234,7 @@ class TestFactorGoodness:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_matches_brute_force_block_minimum(self, data):
-        k = data.draw(st.integers(2, 4))
+        k = data.draw(st.integers(2, 5))
         n = data.draw(st.integers(k, 9))
         H = gen_random(n, k, data.draw(st.sampled_from([0.3, 0.7, 1.0])),
                        seed=data.draw(st.integers(0, 10 ** 6)))
@@ -243,20 +243,42 @@ class TestFactorGoodness:
         P = Partition(tuple(tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])))
         d = data.draw(st.integers(1, k - 1))
         mu = data.draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)]))
-        cap = data.draw(st.sampled_from([1, 50]))
-        violations, ratios = [], []
+        cap = data.draw(st.sampled_from([1, 3, 50]))
+        violations, ratios, truncated = [], [], False
         for i, block in enumerate(P.blocks):
             inside = [e for e in H.edges if set(e) <= set(block)]
-            degrees = [sum(1 for e in inside if set(D) <= set(e)) for D in combinations(block, d)]
+            # each d-set of the block, in lexicographic order, with its degree
+            degrees = [(D, sum(1 for e in inside if set(D) <= set(e)))
+                       for D in combinations(sorted(block), d)]
             if degrees:
-                assert H.min_d_degree(d, within=block) == min(degrees)
+                assert H.min_d_degree(d, within=block) == min(c for _, c in degrees)
             denom = math.comb(len(block), k - d)
             if denom:
-                ratios.append(Fraction(min(degrees, default=0), denom))
-                if ratios[-1] < mu and len(violations) < cap:
-                    violations.append((i, ()))
+                # a block too small to hold a d-set has ratio 0
+                degrees = degrees or [((), 0)]
+                ratios.append(Fraction(min(c for _, c in degrees), denom))
+                for D, c in degrees:
+                    if Fraction(c, denom) < mu:
+                        if len(violations) < cap:
+                            violations.append((i, D))
+                        else:
+                            truncated = True
         report = check_good_factor(H, P, d, mu, max_violations=cap)
-        assert report == GoodnessReport(not violations, violations, min(ratios, default=None))
+        assert report == GoodnessReport(
+            not violations and not truncated, violations, min(ratios, default=None), truncated
+        )
+
+    def test_cap_zero_still_fails_a_bad_partition(self):
+        P = Partition(((0, 1, 2), (3, 4, 5)))
+        report = check_good_factor(empty(6, 3), P, 1, Fraction(1, 2), max_violations=0)
+        assert (report.good, report.violations, report.truncated) == (False, [], True)
+        assert report.min_ratio == 0
+
+    def test_cap_truncates_the_violation_list(self):
+        # both blocks of the edgeless host violate at every vertex
+        P = Partition(((0, 1, 2), (3, 4, 5)))
+        report = check_good_factor(empty(6, 3), P, 1, Fraction(1, 2), max_violations=1)
+        assert (report.good, report.violations, report.truncated) == (False, [(0, (0,))], True)
 
 
 def _reference_degrees(H, blocks, i, block):
