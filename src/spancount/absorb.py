@@ -62,7 +62,7 @@ def can_absorb(
     if set(a) & set(b):
         raise InvalidStructureError("P's first and last ell vertices must be disjoint")
     target = pv | claimed
-    order = _search_path(H, P.ell, a, b, len(target), sorted(target), _Budget(budget))
+    order = _search_path(H, P.ell, a, b, vertex_mask(target - set(a + b)), _Budget(budget))
     if order is None:
         return None
     witness = EllPath(order, H.k, P.ell)
@@ -102,15 +102,13 @@ def classify_set(
     # its ends spans its vertices and S, searched with no budget of its own.
     # Every ordering counts, and which vertices are ends depends on it, so
     # the outer search walks them all: no class cut
-    allowed = (vertex_mask(range(H.n)) & ~vertex_mask(s),) * t
-    s_sorted = tuple(sorted(s))
+    s_mask = vertex_mask(s)
+    allowed = (((1 << H.n) - 1) & ~s_mask,) * t
     count = 0
     layout = _windows(k, k - ell, t, False)
     for order in _ordered_search(H, layout, t, allowed, _Budget(budget), cut=False):
-        found = _search_path(
-            H, ell, order[:ell], order[t - ell:], t + (k - ell), order + s_sorted, None
-        )
-        if found is not None:
+        interior = s_mask | vertex_mask(order[ell:t - ell])
+        if _search_path(H, ell, order[:ell], order[t - ell:], interior, None) is not None:
             count += 1
     good = count >= cfg.beta * H.n ** t
     return count, good

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .errors import DivisibilityError, InvalidQueryError
+from .paths import _window_count
 
 
 @dataclass(frozen=True)
@@ -149,14 +150,12 @@ def expected_random_count(
     (the cyclic window layout on 0..n-1, as a host), under the n!
     permutations, so there are n!/|Aut(W)| of them, and |Aut(W)| =
     (n/(k-ell)) * N_W with N_W the orbit count on W (`paths._orbit_count`,
-    which states the argument); at (48, 4, 2) N_W is 2^25, from 4
-    orderings found.  That search is a subtree of the one that would
-    enumerate K_n's cycles, so `budget` bounds it as it would the
-    enumeration.  |E(C)| is W's count of distinct windows: n/(k-ell),
+    which states the argument, read through the enumerator's cache); at
+    (48, 4, 2) N_W is 2^25, from 4 orderings found.  That search is a
+    subtree of the one that would enumerate K_n's cycles, so `budget`
+    bounds it as it would the enumeration.  |E(C)| is W's count of distinct windows: n/(k-ell),
     except at n = k, where every window is the one edge.
     """
-    from .paths import _orbit_count
-
     delta = Fraction(delta)
     if not 0 <= delta <= 1:
         raise InvalidQueryError(f"delta = {delta} must lie in [0, 1]")
@@ -169,5 +168,5 @@ def expected_random_count(
         raise DivisibilityError(f"(k-ell)={gap} must divide n={n}")
     if n < k:
         return count_bound_from_exact(Fraction(0))
-    count = math.factorial(n) // (n // gap * _orbit_count(n, k, ell, budget))
+    count = math.factorial(n) // (n // gap * _window_count(n, k, ell, budget))
     return count_bound_from_exact(count * delta ** (1 if n == k else n // gap))

@@ -9,23 +9,24 @@ through a vertex come from the shared ordered-window search of `paths`,
 with F's edges as the window layout.
 
 Backtracking always covers the smallest uncovered vertex next, which
-eliminates permutation overcounting of the copies during enumeration.
-The search can be restricted to a vertex set, so factor stitching
-searches each block of a partition on the host itself, in its own
-labels.  Every decomposition that leaves this module has been checked
-against the host with `verify_decomposition`.
+eliminates permutation overcounting of the copies during enumeration;
+like the whole search layer it keeps vertex sets as bitmasks, so no node
+builds a set.  The search can be restricted to a vertex set, so factor
+stitching searches each block of a partition on the host itself, in its
+own labels.  Every decomposition that leaves this module has been
+checked against the host with `verify_decomposition`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import DivisibilityError, InvalidQueryError
-from .hypergraphs import Hypergraph, complete
+from .hypergraphs import Hypergraph, complete, vertex_mask
 from .partition import Partition
-from .paths import _Budget, _ordered_search, _pinned
+from .paths import _Budget, _ordered_search, _pinned, enumerate_hamilton_ell_cycles
 
 
 @dataclass(frozen=True)
@@ -78,11 +79,12 @@ def verify_decomposition(H: Hypergraph, spec: FactorSpec, dec: FactorDecompositi
 
 
 def _canonical_copies(
-    H: Hypergraph, spec: FactorSpec, available: Sequence[int], anchor: int
-) -> List[Tuple[Tuple[int, ...], frozenset]]:
-    """Distinct copies of F on `available` vertices containing `anchor`.
+    H: Hypergraph, spec: FactorSpec, available: int, anchor: int
+) -> List[Tuple[Tuple[int, ...], int]]:
+    """Distinct copies of F that contain `anchor` and otherwise lie in the
+    mask `available`.
 
-    Returns (least injection, edge image) pairs, one per distinct
+    Returns (least injection, vertex mask) pairs, one per distinct
     (vertex set, edge image); sorted for determinism.  The injections
     come from the ordered-window search with F's edges as the window
     layout and the anchor pinned at each vertex of F in turn; finding
@@ -91,15 +93,15 @@ def _canonical_copies(
     which is the least of its copy.
     """
     edges = tuple(sorted(spec.F.edges))
-    least: Dict[Tuple[frozenset, frozenset], Tuple[int, ...]] = {}
+    least: Dict[Tuple[int, frozenset], Tuple[int, ...]] = {}
     for i in range(spec.t):
         allowed = _pinned(spec.t, available, i, anchor)
         for injection in _ordered_search(H, edges, spec.t, allowed, None):
             image = frozenset(tuple(sorted(injection[v] for v in e)) for e in edges)
-            key = (frozenset(injection), image)
+            key = (vertex_mask(injection), image)
             if key not in least or injection < least[key]:
                 least[key] = injection
-    return sorted((injection, key[1]) for key, injection in least.items())
+    return sorted((injection, key[0]) for key, injection in least.items())
 
 
 def _factor_search(
@@ -112,44 +114,37 @@ def _factor_search(
     """Shared backtracking core: the number of F-factors of H[within]
     (default: all of H) reached and the first one; stops at the first
     unless `count_all`.  The caller verifies what it returns."""
-    cover = frozenset(range(H.n) if within is None else within)
-    if len(cover) % spec.t != 0:
-        raise DivisibilityError(f"|F| = {spec.t} must divide the {len(cover)} vertices to cover")
+    cover = vertex_mask(range(H.n) if within is None else within)
+    if (size := cover.bit_count()) % spec.t != 0:
+        raise DivisibilityError(f"|F| = {spec.t} must divide the {size} vertices to cover")
     if spec.F.k != H.k:
         raise InvalidQueryError(f"pattern uniformity {spec.F.k} != host uniformity {H.k}")
     counter = _Budget(budget)
     total = 0
     first: Optional[Tuple[Tuple[int, ...], ...]] = None
-    chosen: List[Tuple[int, ...]] = []
-    # every uncovered vertex is at least the anchor, so a node's copies are
-    # its anchor's copies on the cover from the anchor up that avoid the
-    # covered vertices
-    copies_at: Dict[int, List[Tuple[Tuple[int, ...], frozenset]]] = {}
+    # every uncovered vertex is at least the anchor, the lowest uncovered
+    # bit, so a node's copies are its anchor's copies on the cover from the
+    # anchor up that avoid the covered vertices
+    copies_at: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
 
-    def descend(uncovered: frozenset) -> bool:
-        """Search below `chosen`; True once the search should stop."""
+    def descend(uncovered: int, chosen: Tuple[Tuple[int, ...], ...]) -> bool:
+        """Search below the copies `chosen`; True once the search should stop."""
         nonlocal total, first
         if not uncovered:
             total += 1
             if first is None:
-                first = tuple(chosen)
+                first = chosen
             return not count_all
         counter.spend()
-        anchor = min(uncovered)
-        if anchor not in copies_at:
-            available = [v for v in cover if v >= anchor]
-            copies_at[anchor] = _canonical_copies(H, spec, available, anchor)
-        for injection, _image in copies_at[anchor]:
-            if not uncovered.issuperset(injection):
-                continue
-            chosen.append(injection)
-            stop = descend(uncovered - frozenset(injection))
-            chosen.pop()
-            if stop:
-                return True
-        return False
+        low = uncovered & -uncovered
+        if low not in copies_at:
+            copies_at[low] = _canonical_copies(H, spec, cover & -low, low.bit_length() - 1)
+        return any(
+            descend(uncovered ^ mask, chosen + (injection,))
+            for injection, mask in copies_at[low] if not mask & ~uncovered
+        )
 
-    descend(cover)
+    descend(cover, ())
     return total, None if first is None else FactorDecomposition(first)
 
 
@@ -226,8 +221,6 @@ class MatchingCycleRelation:
 def matching_zero_cycle_relation(
     H: Hypergraph, budget: Optional[int] = None
 ) -> MatchingCycleRelation:
-    from .paths import enumerate_hamilton_ell_cycles
-
     n, k = H.n, H.k
     if n % k != 0:
         raise DivisibilityError(f"k = {k} must divide n = {n}")

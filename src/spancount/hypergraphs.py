@@ -299,13 +299,13 @@ def _masks(n: int, cols) -> Dict[Edge, int]:
         return {}
     if not _increasing(cols):
         _sort_rows(cols)
-    if min(cols[0]) < 0 or max(cols[-1]) >= n:
-        bad = next(e for e in zip(*cols) if e[0] < 0 or e[-1] >= n)
-        raise InvalidQueryError(f"edge {bad} has vertices outside 0..{n - 1}")
     # the indicator spans 0..top-1
     top, k, rows = max(cols[-1]) + 1, len(cols), len(cols[0])
+    if min(cols[0]) < 0 or top > n:
+        bad = next(e for e in zip(*cols) if e[0] < 0 or e[-1] >= n)
+        raise InvalidQueryError(f"edge {bad} has vertices outside 0..{n - 1}")
     if top**k <= _CELLS_PER_EDGE * rows and k * rows >= _EDGES_PER_SET * comb(top, k - 1):
-        return _indicator_masks(cols)
+        return _indicator_masks(cols, top)
     return _edge_masks(cols)
 
 
@@ -320,14 +320,13 @@ def _edge_masks(cols) -> Dict[Edge, int]:
     return nbr
 
 
-def _indicator_masks(cols) -> Dict[Edge, int]:
+def _indicator_masks(cols, n: int) -> Dict[Edge, int]:
     """`_masks` from the edge indicator S over vertices 0..n-1, n one more
     than the largest: byte e[0]*n**(k-1) + ... + e[k-1] of S is b"1" iff e
     is an edge.  The mask of U reads U + {v} for all v at once, as one
     strided slice of S for each gap of U that v can fall in, with b"0" at
     U's own vertices; base 2 is exempt from int's digit limit."""
     k = len(cols)
-    n = max(cols[-1]) + 1
     S = bytearray(b"0") * n**k
     index = cols[0]
     for col in cols[1:]:

@@ -310,11 +310,14 @@ def check_good(
     P1: block sizes match `sizes` when given.  P2: every (k-1)-set U
     inside three consecutive blocks has d(U, V_i) >= delta * |V_i|.
     The report lists violating (i, U) pairs up to a cap and the minimum
-    achieved ratio d(U, V_i) / |V_i|.
+    achieved ratio d(U, V_i) / |V_i|.  An empty block has no ratio, so
+    it is an invalid query.
     """
     delta = Fraction(delta)
     if P.vertex_set() != frozenset(range(H.n)):
         raise InvalidQueryError("partition must cover exactly the host's vertex set")
+    if () in P.blocks:
+        raise InvalidQueryError(f"block {P.blocks.index(())} is empty, got sizes {P.sizes()}")
     if sizes is not None and tuple(sizes) != P.sizes():
         return GoodnessReport(False, [], None)
     blocks = ((i, len(b), _hood_degrees(H, P.blocks, i, b)) for i, b in enumerate(P.blocks))

@@ -15,7 +15,8 @@ layout, so the F-factor code finds copies of F with it too.  Every
 cyclic search runs through `_cycle_orders`, which confines each
 position to the block whose arc covers it; a phase is a position where
 the first arc may start, and a single block (the enumerator's whole
-vertex set) pins its least vertex there instead.
+vertex set) pins its least vertex there instead.  This search layer
+takes every vertex set as a bitmask: each public entry converts once.
 
 The search breaks one symmetry.  A class is a set of positions that lie
 in exactly the same windows and draw from the same allowed mask; any
@@ -47,10 +48,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, DivisibilityError, InvalidQueryError, InvalidStructureError
-from .hypergraphs import Hypergraph, vertex_mask
+from .hypergraphs import Hypergraph
 
 
 # -- domain types --------------------------------------------------------
@@ -320,35 +321,35 @@ def _ordered_search(
         p += 1
 
 
-def _pinned(length: int, pool: Iterable[int], p: int, v: int) -> List[int]:
+def _pinned(length: int, pool: int, p: int, v: int) -> List[int]:
     """Per-position masks for `_ordered_search`: position p takes only
-    v, every other position the vertices of `pool` other than v."""
-    masks = [vertex_mask(pool) & ~(1 << v)] * length
+    v, every other position the vertices of the mask `pool` other than v."""
+    masks = [pool & ~(1 << v)] * length
     masks[p] = 1 << v
     return masks
 
 
 def _cycle_orders(
     H: Hypergraph,
-    blocks: Sequence[Sequence[int]],
+    blocks: Sequence[int],
     windows: Layout,
     phases: int,
     budget: _Budget,
 ) -> Iterator[Tuple[int, ...]]:
-    """Every cyclic ordering in which the blocks fill consecutive arcs
-    in the given order and every window of the cyclic layout `windows`
-    is an edge, V_1's arc starting at a phase s < `phases`.
+    """Every cyclic ordering in which the blocks (vertex masks) fill
+    consecutive arcs in order and every window of the cyclic layout
+    `windows` is an edge, V_1's arc starting at a phase s < `phases`.
 
     Rotating an ordering by a multiple of `phases` must keep the
     layout; then any such ordering has a rotation found here.  A single
-    block fixes no rotation, so its least vertex is pinned at position
-    s instead.  The phases are searched in order and share the budget.
+    block fixes no rotation, so its lowest bit is pinned at position s
+    instead.  The phases are searched in order and share the budget.
     """
-    arcs = [vertex_mask(block) for block in blocks for _ in block]
+    arcs = [block for block in blocks for _ in range(block.bit_count())]
     n = len(arcs)
     for s in range(phases):
         if len(blocks) == 1:
-            allowed = _pinned(n, blocks[0], s, min(blocks[0]))
+            allowed = _pinned(n, blocks[0], s, (blocks[0] & -blocks[0]).bit_length() - 1)
         else:
             allowed = arcs[n - s:] + arcs[:n - s]
         yield from _ordered_search(H, windows, n, allowed, budget)
@@ -356,7 +357,7 @@ def _cycle_orders(
 
 def _search_cycle(
     H: Hypergraph,
-    blocks: Sequence[Sequence[int]],
+    blocks: Sequence[int],
     windows: Layout,
     phases: int,
     budget: _Budget,
@@ -375,19 +376,18 @@ def _search_path(
     ell: int,
     a: Tuple[int, ...],
     b: Tuple[int, ...],
-    total: int,
-    pool: Sequence[int],
+    interior: int,
     budget: Optional[_Budget],
 ) -> Optional[Tuple[int, ...]]:
-    """First ell-path ordering of `total` vertices from a to b, or None.
+    """First ell-path ordering from a to b through every vertex of the
+    mask `interior`, which holds none of theirs, or None.
 
     The first and last ell positions are pinned to spell out a and b in
-    order; the interior vertices are drawn from `pool`.
+    order; the others draw from `interior`.
     """
-    interior = vertex_mask(pool) & ~vertex_mask(a + b)
-    allowed = [1 << v for v in a] + [interior] * (total - 2 * ell) + [1 << v for v in b]
-    windows = _windows(H.k, H.k - ell, total, False)
-    return next(_ordered_search(H, windows, total, allowed, budget), None)
+    allowed = [1 << v for v in a] + [interior] * interior.bit_count() + [1 << v for v in b]
+    windows = _windows(H.k, H.k - ell, len(allowed), False)
+    return next(_ordered_search(H, windows, len(allowed), allowed, budget), None)
 
 
 # -- Hamilton cycle enumeration ------------------------------------------
@@ -417,11 +417,11 @@ def _orbit_count(
     a class of its own.  The search spends at most `budget` nodes, and
     its error names the host it ran on.
     """
-    gap = k - ell
+    gap, everyone = k - ell, (1 << n) - 1
     windows = _windows(k, gap, n, True)
     host = Hypergraph(n, k, windows) if H is None else H
-    weight = [_class_weight(windows, n, _pinned(n, range(n), s, 0)) for s in range(gap)]
-    orders = _cycle_orders(host, (range(n),), windows, gap, _Budget(budget))
+    weight = [_class_weight(windows, n, _pinned(n, everyone, s, 0)) for s in range(gap)]
+    orders = _cycle_orders(host, (everyone,), windows, gap, _Budget(budget))
     try:
         return sum(weight[order.index(0)] for order in orders)
     except BudgetExceededError:
@@ -430,6 +430,12 @@ def _orbit_count(
         raise BudgetExceededError(
             f"search budget {budget} exhausted in {search}; result invalid"
         ) from None
+
+
+@functools.lru_cache(maxsize=256)
+def _window_count(n: int, k: int, ell: int, budget: Optional[int]) -> int:
+    """N_W (`_orbit_count` on W), kept per budget once its search completes."""
+    return _orbit_count(n, k, ell, budget)
 
 
 def enumerate_hamilton_ell_cycles(
@@ -443,9 +449,9 @@ def enumerate_hamilton_ell_cycles(
     Distinctness is by edge set, so rotations and reflections of the
     same sub-hypergraph count once.  Count mode divides `_orbit_count`
     on H by the same count on W, the window layout as a host, which it
-    searches only when H has a cycle; each search spends at most
-    `budget` nodes.  List mode keeps the first ordering the search finds
-    of each edge set, in search order.
+    reads (`_window_count`) only when H has a cycle; each search spends
+    at most `budget` nodes.  List mode keeps the first ordering the
+    search finds of each edge set, in search order.
     """
     if mode not in ("count", "list"):
         raise InvalidQueryError(f"mode must be 'count' or 'list', got {mode!r}")
@@ -461,13 +467,13 @@ def enumerate_hamilton_ell_cycles(
     if mode == "list":
         windows = _windows(k, gap, n, True)
         cycles: dict = {}
-        for order in _cycle_orders(H, (range(n),), windows, gap, _Budget(budget)):
+        for order in _cycle_orders(H, ((1 << n) - 1,), windows, gap, _Budget(budget)):
             cycle = EllCycle(order, k, ell)
             cycles.setdefault(cycle.edge_set(), cycle)
         return list(cycles.values())
     orbits = _orbit_count(n, k, ell, budget, H)
     if not orbits:
         return 0
-    count, rest = divmod(orbits, _orbit_count(n, k, ell, budget))
+    count, rest = divmod(orbits, _window_count(n, k, ell, budget))
     assert not rest, f"{orbits} orderings do not split into cycles of the same count"
     return count

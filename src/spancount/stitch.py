@@ -22,11 +22,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .bounds import RationalBracket, exp_neg_bracket, multinomial
 from .errors import DivisibilityError, InvalidQueryError
-from .hypergraphs import Hypergraph
+from .hypergraphs import Hypergraph, vertex_mask
 from .partition import Partition, SizeVector
 from .paths import (
     EllCycle,
@@ -153,8 +153,8 @@ def stitch_cycle(
             raise DivisibilityError(
                 f"(k-ell)={gap} must divide every block size, got {len(block)}"
             )
-    n = _span(P, k)
-    order = _search_cycle(H, P.blocks, _windows(k, gap, n, True), gap, _Budget(node_budget))
+    n, blocks = _span(P, k)
+    order = _search_cycle(H, blocks, _windows(k, gap, n, True), gap, _Budget(node_budget))
     return _certified(H, P, "ell-cycle", ell, order)
 
 
@@ -170,20 +170,21 @@ def stitch_power_cycle(
     spends more than `node_budget` nodes."""
     if t < H.k:
         raise InvalidQueryError(f"window width t={t} must be >= k={H.k}")
-    n = _span(P, t)
-    order = _search_cycle(H, P.blocks, _power_windows(H.k, t, n), 1, _Budget(node_budget))
+    n, blocks = _span(P, t)
+    order = _search_cycle(H, blocks, _power_windows(H.k, t, n), 1, _Budget(node_budget))
     return _certified(H, P, "power-cycle", t, order)
 
 
-def _span(P: Partition, least: int) -> int:
+def _span(P: Partition, least: int) -> Tuple[int, List[int]]:
     """The number of vertices of P, which a cycle needs to be at least
-    `least`; every block must be nonempty to occupy an arc."""
+    `least`, and P's blocks as the search takes them, vertex masks; every
+    block must be nonempty to occupy an arc."""
     n = sum(P.sizes())
     if n < least or not all(P.blocks):
         raise InvalidQueryError(
             f"need nonempty blocks and at least {least} vertices, got sizes {P.sizes()}"
         )
-    return n
+    return n, list(map(vertex_mask, P.blocks))
 
 
 def _certified(

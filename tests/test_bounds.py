@@ -140,7 +140,7 @@ def enumeration_nodes(n, k, ell):
     limit = 10 ** 12
     budget = _Budget(limit)
     gap = k - ell
-    for _ in _cycle_orders(complete(n, k), (range(n),), _windows(k, gap, n, True), gap, budget):
+    for _ in _cycle_orders(complete(n, k), ((1 << n) - 1,), _windows(k, gap, n, True), gap, budget):
         pass
     return limit - budget.remaining
 

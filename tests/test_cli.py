@@ -21,7 +21,7 @@ from spancount import (
     random_bisection,
     size_vector,
 )
-from spancount import cli
+from spancount import cli, paths
 from spancount.cli import _flatten, main
 
 
@@ -268,6 +268,16 @@ class TestExitCodes:
         struct.write_text(json.dumps(structure))
         assert main(["verify", "--input", str(k6), "--structure", str(struct)]) == 2
 
+    def test_partition_with_an_empty_block_is_2(self, tmp_path, capsys):
+        k6 = tmp_path / "k6.txt"
+        assert main(["generate", "--family", "complete", "--n", "6", "--k", "3",
+                     "--out", str(k6)]) == 0
+        struct = tmp_path / "s.json"
+        struct.write_text(json.dumps(
+            {"type": "partition", "blocks": [[0, 1, 2, 3, 4, 5], []], "delta": "1/2"}))
+        assert main(["verify", "--input", str(k6), "--structure", str(struct)]) == 2
+        assert capsys.readouterr().err.startswith("error: block 1 is empty")
+
     def test_zero_trials_is_2(self, host):
         assert main(["stitch", "--input", host, "--ell", "2", "--m", "2", "--delta", "1/2",
                      "--gamma", "1/10", "--trials", "0"]) == 2
@@ -446,10 +456,28 @@ class TestCountCommand:
             "error: search budget 1 exhausted in the cycle search on W, the window layout as"
             " a host; result invalid\n")
 
+    def test_delta_searches_the_window_host_once(self, tmp_path, monkeypatch):
+        # count's denominator and Psi read the same count on W
+        k8 = tmp_path / "k8.txt"
+        assert main(["generate", "--family", "complete", "--n", "8", "--k", "3",
+                     "--out", str(k8)]) == 0
+        hosts = []
+        cycle_orders = paths._cycle_orders
+
+        def spy(H, *args):
+            hosts.append(H)
+            return cycle_orders(H, *args)
+
+        monkeypatch.setattr(paths, "_cycle_orders", spy)
+        paths._window_count.cache_clear()
+        assert main(["count", "--input", str(k8), "--ell", "1", "--delta", "1/2"]) == 0
+        W = Hypergraph(8, 3, paths._windows(3, 2, 8, True))
+        assert hosts == [complete(8, 3), W]
+
     def test_expected_random_count_beyond_enumeration(self, tmp_path):
-        # the host is W, so its own search and the two on W (count's denominator
-        # and Psi's) each spend 1,120 nodes; enumerating K_24^(3)'s Hamilton
-        # 1-cycles would exhaust the budget
+        # the host is W, so its own search and the one on W (count's denominator,
+        # which Psi shares) each spend 1,120 nodes; enumerating K_24^(3)'s
+        # Hamilton 1-cycles would exhaust the budget
         hostfile = tmp_path / "pc.txt"
         assert main(["generate", "--family", "planted-cycle", "--n", "24", "--k", "3",
                      "--ell", "1", "--out", str(hostfile)]) == 0

@@ -16,6 +16,7 @@ from spancount import (
     complete,
     count_f_factors,
     empty,
+    factor_census,
     find_f_factor,
     gen_random,
     matching_count_closed_form,
@@ -25,7 +26,7 @@ from spancount import (
     verify_decomposition,
 )
 from spancount.factors import _canonical_copies
-from spancount.hypergraphs import Hypergraph
+from spancount.hypergraphs import Hypergraph, vertex_mask
 
 
 def planted_blocks(n, k, t):
@@ -39,7 +40,7 @@ def planted_blocks(n, k, t):
 def reference_copies(H, spec, available, anchor):
     """Copies of F through `anchor` by brute force: every ordering of every
     t-set of `available` plus the anchor, keeping the first, and so least,
-    injection per (vertex set, edge image)."""
+    injection per (vertex set, edge image), with its vertex set's mask."""
     found = {}
     pool = [v for v in available if v != anchor]
     for rest in itertools.combinations(pool, spec.t - 1):
@@ -48,7 +49,39 @@ def reference_copies(H, spec, available, anchor):
             image = [tuple(sorted(perm[v] for v in e)) for e in spec.F.edges]
             if all(H.has_edge(e) for e in image):
                 found.setdefault((vset, frozenset(image)), perm)
-    return sorted((found[key], key[1]) for key in found)
+    return sorted((found[key], vertex_mask(key[0])) for key in found)
+
+
+def reference_census(H, spec):
+    """The F-factors of H by brute force over set partitions of V(H) into
+    t-sets: each part carries one copy per distinct edge image of F on it,
+    represented by its least injection, and a factor is the tuple of its
+    copies ordered by least vertex.  Returns their number and the least
+    such tuple, or None."""
+    least = {}
+
+    def copies(part):
+        if part not in least:
+            found = {}
+            for perm in itertools.permutations(part):  # in lexicographic order
+                image = frozenset(tuple(sorted(perm[v] for v in e)) for e in spec.F.edges)
+                if all(H.has_edge(e) for e in image):
+                    found.setdefault(image, perm)
+            least[part] = sorted(found.values())
+        return least[part]
+
+    def factors(rest):
+        if not rest:
+            yield ()
+            return
+        for mates in itertools.combinations(rest[1:], spec.t - 1):
+            left = tuple(v for v in rest[1:] if v not in mates)
+            for injection in copies(rest[:1] + mates):
+                for tail in factors(left):
+                    yield (injection,) + tail
+
+    found = list(factors(tuple(range(H.n))))
+    return len(found), min(found, default=None)
 
 
 def reference_stitch_factor(H, P, spec, budget):
@@ -157,9 +190,24 @@ class TestCanonicalCopies:
         available = sorted(data.draw(st.sets(st.integers(0, n - 1))))
         for anchor in range(n):
             for pool in (available, range(anchor, n)):
-                assert _canonical_copies(H, spec, pool, anchor) == reference_copies(
+                assert _canonical_copies(H, spec, vertex_mask(pool), anchor) == reference_copies(
                     H, spec, pool, anchor
                 )
+
+
+class TestFactorCensus:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_set_partition_reference(self, data):
+        k = data.draw(st.integers(1, 3))
+        spec = data.draw(patterns(k))
+        n = spec.t * data.draw(st.integers(1, 9 // spec.t))
+        H = gen_random(n, k, data.draw(st.sampled_from([0.3, 0.6, 0.9, 1.0])),
+                       seed=data.draw(st.integers(0, 10 ** 6)))
+        count, dec = factor_census(H, spec)
+        want, first = reference_census(H, spec)
+        assert count == want
+        assert (None if dec is None else dec.copies) == first
 
 
 class TestVerifyDecomposition:

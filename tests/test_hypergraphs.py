@@ -219,7 +219,7 @@ class TestCanonicalText:
         _, k, edges, _, _ = case
         if edges:
             cols = list(zip(*edges))
-            assert _indicator_masks(cols) == _edge_masks(cols)
+            assert _indicator_masks(cols, max(map(max, edges)) + 1) == _edge_masks(cols)
 
     @pytest.mark.parametrize("n, k, p, builder", [
         (9, 3, 0.9, _edge_masks),  # an oracles host: about 6 edge bits per pair

@@ -145,7 +145,8 @@ def masks(draw, n, length):
     if kind == "uniform":
         return [vertex_mask(pool)] * length
     if kind == "pinned":
-        return _pinned(length, pool, draw(st.integers(0, length - 1)), draw(st.sampled_from(pool)))
+        pinned = draw(st.integers(0, length - 1))
+        return _pinned(length, vertex_mask(pool), pinned, draw(st.sampled_from(pool)))
     if kind == "ends":
         ends = draw(st.integers(1, length // 2))
         a, b = pool[:ends], pool[ends:2 * ends]
@@ -205,7 +206,7 @@ def test_a_pinned_position_breaks_no_class_chain():
     edge = ((0, 1, 2, 3),)
     K = complete(6, 4)
     for i in range(4):
-        allowed = _pinned(4, range(6), i, 0)
+        allowed = _pinned(4, vertex_mask(range(6)), i, 0)
         found = list(_ordered_search(K, edge, 4, allowed, None))
         assert len(found) == math.comb(5, 3)
         assert len(list(reference_search(K, edge, 4, allowed, None))) == 6 * len(found)
@@ -222,7 +223,7 @@ def reference_enumeration(H, ell):
     windows = _windows(k, gap, n, True)
     found = {}
     for s in range(gap):
-        for order in reference_search(H, windows, n, _pinned(n, range(n), s, 0), None):
+        for order in reference_search(H, windows, n, _pinned(n, (1 << n) - 1, s, 0), None):
             found.setdefault(frozenset(tuple(sorted(order[q] for q in w)) for w in windows), order)
     return list(found.values())
 
@@ -256,8 +257,9 @@ def test_weighted_window_host_count_is_the_recursive_count(n, k, ell):
     gap = k - ell
     windows = _windows(k, gap, n, True)
     W = Hypergraph(n, k, windows)
+    everyone = (1 << n) - 1
     N_W = sum(
-        1 for s in range(gap) for _ in reference_search(W, windows, n, _pinned(n, range(n), s, 0), None)
+        1 for s in range(gap) for _ in reference_search(W, windows, n, _pinned(n, everyone, s, 0), None)
     )
     count = expected_random_count(n, k, ell, 1).exact_value
     assert count * (n // gap) * N_W == math.factorial(n)

@@ -215,6 +215,12 @@ class TestGoodness:
         report = check_good(H, P, Fraction(1, 2))
         assert not report.good and report.min_ratio == 0
 
+    @pytest.mark.parametrize("blocks", [((0, 1, 2, 3, 4, 5), ()), ((), (0, 1, 2), (3, 4, 5))])
+    def test_an_empty_block_is_an_invalid_query(self, blocks):
+        # its ratio d(U, V_i) / |V_i| would divide by zero
+        with pytest.raises(InvalidQueryError, match=f"block {blocks.index(())} is empty"):
+            check_good(complete(6, 3), Partition(blocks), Fraction(1, 2))
+
     def test_size_mismatch_fails_p1(self):
         H = complete(12, 2)
         P = Partition(((0, 1, 2, 3), tuple(range(4, 12))))

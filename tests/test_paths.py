@@ -21,7 +21,7 @@ from spancount import (
     validate_power_cycle,
 )
 from spancount.absorb import can_absorb
-from spancount.hypergraphs import Hypergraph
+from spancount.hypergraphs import Hypergraph, vertex_mask
 from spancount.paths import _orbit_count, _search_path
 
 
@@ -104,12 +104,12 @@ class TestHamiltonPath:
     def test_planted_path_found(self):
         P = EllPath(tuple(range(7)), 3, 1)
         H = Hypergraph(7, 3, P.windows())
-        found = _search_path(H, 1, (0,), (6,), 7, range(7), None)
+        found = _search_path(H, 1, (0,), (6,), vertex_mask(range(1, 6)), None)
         assert found is not None and (found[0], found[-1]) == (0, 6)
         assert validate_ell_path(H, EllPath(found, 3, 1))
 
     def test_no_path_in_empty(self):
-        assert _search_path(empty(7, 3), 1, (0,), (6,), 7, range(7), None) is None
+        assert _search_path(empty(7, 3), 1, (0,), (6,), vertex_mask(range(1, 6)), None) is None
 
     def test_budget_exhaustion_raises(self):
         P = EllPath((0, 1, 2, 3, 4), 3, 1)
