@@ -14,6 +14,7 @@ out of reach at this scale and are not reproduced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
@@ -36,6 +37,11 @@ class AbsorberConfig:
             raise InvalidQueryError("beta must be positive")
 
 
+def _check_vertices(H: Hypergraph, vertices: Iterable[int], what: str) -> None:
+    if any(not 0 <= v < H.n for v in vertices):
+        raise InvalidQueryError(f"{what} must hold vertices of the host, 0..{H.n - 1}")
+
+
 def can_absorb(
     H: Hypergraph,
     P: EllPath,
@@ -53,6 +59,7 @@ def can_absorb(
         s = set(S)
         if len(s) != gap:
             raise InvalidQueryError(f"absorbed sets must have k-ell = {gap} vertices")
+        _check_vertices(H, s, "absorbed sets")
         if s & pv or s & claimed:
             raise InvalidQueryError("absorbed sets must be disjoint from P and each other")
         claimed |= s
@@ -78,13 +85,23 @@ def classify_set(
     budget: Optional[int] = None,
 ) -> Tuple[int, bool]:
     """Count ordered t_abs-vertex absorbing paths for S; good iff the
-    count reaches beta * n^t_abs."""
+    count reaches beta * n^t_abs.
+
+    One outer search, spending at most `budget` nodes, walks the
+    candidate paths.  A candidate with first ell vertices a, last ell
+    vertices b and interior I absorbs S iff some ell-path from a to b
+    runs through X = S + I.  Candidates share (a, X) far more often than
+    (a, X, b), so one unbudgeted inner search per (a, X) collects every
+    end tuple reachable from a through X, and each candidate looks its b
+    up there.
+    """
     k = H.k
     if not 1 <= ell < k:
         raise InvalidQueryError(f"need 1 <= ell < k, got ell={ell}, k={k}")
     s = frozenset(S)
     if len(s) != k - ell:
         raise InvalidQueryError(f"S must have k-ell = {k - ell} vertices, got {len(s)}")
+    _check_vertices(H, s, "S")
     t = cfg.t_abs
     if t < k:
         raise InvalidQueryError(f"t_abs = {t} must be >= k = {k}")
@@ -97,18 +114,59 @@ def classify_set(
             f"t_abs = {t} < 2*ell = {2 * ell}: an absorbing path's two ell-vertex ends "
             "would overlap"
         )
-    # the masks keep S off every position, so each path found is an
-    # ell-path of H disjoint from S; it absorbs S iff some ell-path with
-    # its ends spans its vertices and S, searched with no budget of its own.
-    # Every ordering counts, and which vertices are ends depends on it, so
-    # the outer search walks them all: no class cut
+    # The masks keep S off every position, so each path the outer search
+    # finds is an ell-path of H disjoint from S.  Every ordering counts, and
+    # which vertices are ends depends on it, so the outer search walks them
+    # all: no class cut.  It yields them in lexicographic order, so the
+    # candidates with the same a are consecutive and `reachable` holds the
+    # end tuples of the current a only, one set per X.
+    #
+    # The inner search runs on the ell-path layout of m = t + (k-ell)
+    # positions: the first ell are pinned to a, the next |X| draw from X and
+    # the last ell from every vertex outside a and X.  It keeps its class
+    # cut.  The end positions alone draw from their mask, so those in exactly
+    # the same windows form a class and come out in ascending order (at
+    # (k, ell) = (4, 2), for one, both lie in the last window only); b is
+    # sorted the same way before the lookup.  Once the set holds every such
+    # tuple there can be, the search stops.
+    gap = k - ell
+    m = t + gap
+    inner = _windows(k, gap, m, False)
+    by_windows: dict = {}
+    for j in range(ell):
+        by_windows.setdefault(tuple(w for w in inner if m - ell + j in w), []).append(j)
+    classes = [c for c in by_windows.values() if len(c) > 1]
+    # the class-sorted ell-tuples of the n - (m - ell) vertices outside a and X
+    most = math.perm(max(H.n - m + ell, 0), ell) // math.prod(
+        math.factorial(len(c)) for c in classes)
     s_mask = vertex_mask(s)
-    allowed = (((1 << H.n) - 1) & ~s_mask,) * t
+    everyone = (1 << H.n) - 1
+    allowed = (everyone & ~s_mask,) * t
     count = 0
-    layout = _windows(k, k - ell, t, False)
-    for order in _ordered_search(H, layout, t, allowed, _Budget(budget), cut=False):
-        interior = s_mask | vertex_mask(order[ell:t - ell])
-        if _search_path(H, ell, order[:ell], order[t - ell:], interior, None) is not None:
-            count += 1
+    prefix, reachable = None, {}
+    for order in _ordered_search(
+        H, _windows(k, gap, t, False), t, allowed, _Budget(budget), cut=False
+    ):
+        a = order[:ell]
+        if a != prefix:
+            prefix, reachable = a, {}
+        x = s_mask | vertex_mask(order[ell:t - ell])
+        ends = reachable.get(x)
+        if ends is None:
+            rest = everyone & ~(x | vertex_mask(a))
+            ends = reachable[x] = set()
+            pins = [1 << v for v in a]
+            for q in _ordered_search(H, inner, m, pins + [x] * (m - 2 * ell) + [rest] * ell, None):
+                ends.add(q[m - ell:])
+                if len(ends) == most:
+                    break
+        b = order[t - ell:]
+        if classes:
+            b = list(b)
+            for c in classes:
+                for j, v in zip(c, sorted(b[j] for j in c)):
+                    b[j] = v
+            b = tuple(b)
+        count += b in ends
     good = count >= cfg.beta * H.n ** t
     return count, good

@@ -17,6 +17,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -318,11 +319,25 @@ def cmd_factors(args) -> Dict:
 # -- absorb-classify -----------------------------------------------------
 
 
+def _threshold(beta: Fraction, n: int, t: int) -> float:
+    """beta * n^t as a float; raises InvalidQueryError if it does not fit
+    in one.  Its logarithm bounds its size first, so a huge t builds no
+    huge integer."""
+    message = f"--beta * n^t does not fit in a float (n = {n}, t = {t})"
+    if n > 1 and t * math.log2(n) + math.log2(beta.numerator) - math.log2(beta.denominator) > 1100:
+        raise InvalidQueryError(message)
+    try:
+        return float(beta * n ** t)
+    except OverflowError:
+        raise InvalidQueryError(message) from None
+
+
 def cmd_absorb_classify(args) -> Dict:
     H = _load_host(args.input)
     cfg = AbsorberConfig(_fraction(args.beta, "--beta"), args.t)
     _require(args.limit is None or args.limit >= 1, "--limit must be >= 1")
     _require(1 <= args.ell < H.k, f"--ell must be >= 1 and < k = {H.k}, got {args.ell}")
+    threshold = _threshold(cfg.beta, H.n, args.t)
     sets = itertools.islice(itertools.combinations(range(H.n), H.k - args.ell), args.limit)
     classified = []
     for S in sets:
@@ -334,7 +349,7 @@ def cmd_absorb_classify(args) -> Dict:
         "ell": args.ell,
         "t_abs": args.t,
         "beta": str(cfg.beta),
-        "threshold": float(cfg.beta * H.n ** args.t),
+        "threshold": threshold,
         "classified": classified,
         "good_sets": sum(1 for c in classified if c["good"]),
     }

@@ -10,7 +10,7 @@ and one check (`validate_windows`) tests them against a host.
 Everything here runs one ordered-window search, which fills positions
 in order so that every window of a given layout spans an edge, each
 position drawing from its own allowed vertex mask; a path's ends are
-one-bit masks (`_search_path`, which the absorbers run).  It takes any
+one-bit masks (`_search_path`, which `can_absorb` runs).  It takes any
 layout, so the F-factor code finds copies of F with it too.  Every
 cyclic search runs through `_cycle_orders`, which confines each
 position to the block whose arc covers it; a phase is a position where
@@ -23,12 +23,14 @@ in exactly the same windows and draw from the same allowed mask; any
 permutation of the vertices inside classes keeps every window's vertex
 set.  So the search fills each class in ascending order (the class
 cut), which keeps the first ordering it finds and the least ordering of
-every edge set.  The enumerator's list mode, the stitchers, the
-absorbers' path tests and the F-factor copies read no more than that.
+every edge set.  The enumerator's list mode, the stitchers,
+`can_absorb` and the F-factor copies read no more than that.
 A caller that needs every ordering either weights each one by the
 product of its classes' sizes' factorials (`_class_weight`, as the
-orbit count does) or turns the cut off (`cut=False`, as the absorbers'
-outer count of candidate paths does, because it reads the paths' ends).
+orbit count does), turns the cut off (`cut=False`, as the absorbers'
+outer count of candidate paths does, because it reads the paths' ends)
+or sorts what it compares within classes (as the absorbers' inner
+searches do with the end tuples they collect).
 
 Searches carry explicit node budgets, one node per position entered, so
 a budget bounds the nodes of the cut search tree; a partial result never

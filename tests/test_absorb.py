@@ -1,10 +1,16 @@
-"""Absorbing-path predicates and good-set classification."""
+"""Absorbing-path predicates and good-set classification.
+
+`reference_classify` is `classify_set`'s count as it was before it shared
+one inner search among the candidates with the same first ell vertices
+and interior: a first-hit path search per candidate.
+"""
 
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spancount import (
     AbsorberConfig,
@@ -18,7 +24,9 @@ from spancount import (
     gen_random,
     validate_ell_path,
 )
-from spancount.hypergraphs import Hypergraph
+from spancount import absorb
+from spancount.hypergraphs import Hypergraph, vertex_mask
+from spancount.paths import _Budget, _ordered_search, _search_path, _windows
 
 
 def perm(n, t):
@@ -71,6 +79,12 @@ class TestCanAbsorb:
         with pytest.raises(InvalidQueryError):
             can_absorb(H, P, [{5, 6}, {6, 7}])
 
+    @pytest.mark.parametrize("S", [{5, 9}, {5, 7}, {-1, 5}])
+    def test_vertices_outside_the_host_rejected(self, S):
+        P = EllPath((0, 1, 2, 3, 4), 3, 1)
+        with pytest.raises(InvalidQueryError, match=r"vertices of the host, 0\.\.6"):
+            can_absorb(complete(7, 3), P, [S])
+
     def test_overlapping_ends_rejected(self):
         # a 5-vertex 3-path of a 4-graph: its first and last 3 vertices share vertex 2
         P = EllPath(range(5), 4, 3)
@@ -120,6 +134,12 @@ class TestClassifySet:
         # k = 4, ell = 3: a 5-vertex path's first and last 3 vertices overlap
         with pytest.raises(InvalidQueryError, match=r"t_abs = 5 < 2\*ell = 6"):
             classify_set(H, {0}, AbsorberConfig(Fraction(1, 1000), 5), 3)
+
+    @pytest.mark.parametrize("S", [(0, 99), (0, 14), (-1, 3)])
+    def test_vertices_outside_the_host_rejected(self, S):
+        cfg = AbsorberConfig(Fraction(1, 1000), 5)
+        with pytest.raises(InvalidQueryError, match=r"vertices of the host, 0\.\.13"):
+            classify_set(complete(14, 3), S, cfg, 1)
 
     def test_wrong_set_size(self):
         H = complete(8, 3)
@@ -175,3 +195,65 @@ def test_classify_set_matches_brute_force(k, ell, t):
         for S in itertools.islice(itertools.combinations(range(H.n), k - ell), 3):
             count, _ = classify_set(H, S, cfg, ell)
             assert count == brute_force_count(H, S, ell, t), (seed, S)
+
+
+def reference_classify(H, S, ell, t):
+    """The count of ordered t-vertex absorbing paths for S, one first-hit
+    search from each candidate's first to its last ell vertices through S
+    and its interior."""
+    k = H.k
+    s_mask = vertex_mask(S)
+    allowed = (((1 << H.n) - 1) & ~s_mask,) * t
+    count = 0
+    layout = _windows(k, k - ell, t, False)
+    for order in _ordered_search(H, layout, t, allowed, _Budget(None), cut=False):
+        interior = s_mask | vertex_mask(order[ell:t - ell])
+        if _search_path(H, ell, order[:ell], order[t - ell:], interior, None) is not None:
+            count += 1
+    return count
+
+
+# every (k, ell) with 1 <= ell < k <= 4, at t = 2*ell (or k, if larger) and at
+# the next t past it; at (4, 2) both end positions lie in the last window only,
+# so they form one class of the inner search
+CASES = [
+    (2, 1, 2), (2, 1, 3), (3, 1, 3), (3, 1, 5), (3, 2, 4), (3, 2, 5),
+    (4, 1, 4), (4, 1, 7), (4, 2, 4), (4, 2, 6), (4, 3, 6), (4, 3, 7),
+]
+
+
+@pytest.mark.parametrize("k, ell, t", CASES)
+@settings(max_examples=8, deadline=None)
+@given(extra=st.integers(0, 1), p=st.sampled_from([0.5, 0.8, 1.0]),
+       seed=st.integers(0, 10 ** 6), data=st.data())
+def test_classify_set_matches_per_candidate_reference(k, ell, t, extra, p, seed, data):
+    # a host just big enough for a candidate path beside S, or a little bigger
+    n = min(t + k - ell + extra, 10)
+    H = gen_random(n, k, p, seed)
+    S = data.draw(st.sets(st.integers(0, n - 1), min_size=k - ell, max_size=k - ell))
+    cfg = AbsorberConfig(Fraction(1, 1000), t)
+    assert classify_set(H, S, cfg, ell)[0] == reference_classify(H, S, ell, t)
+
+
+def test_one_inner_search_per_prefix_and_interior(monkeypatch):
+    # the benchmark's oracles absorber run: n = 14, k = 3, p = 0.8, ell = 2, t = 4
+    H = gen_random(14, 3, 0.8, 5)
+    S, ell, t = (0,), 2, 4
+    calls = []
+
+    def spy(H, layout, length, allowed, budget, cut=True):
+        calls.append(tuple(allowed))
+        return _ordered_search(H, layout, length, allowed, budget, cut)
+
+    monkeypatch.setattr(absorb, "_ordered_search", spy)
+    count, _ = classify_set(H, S, AbsorberConfig(Fraction(1, 1000), t), ell)
+    assert count == reference_classify(H, S, ell, t)
+    outer, inner = calls[0], calls[1:]
+    assert len(outer) == t
+    # an inner search pins its first ell positions to the prefix and draws the
+    # next ones from the interior mask: no (prefix, interior) pair twice
+    keys = [(allowed[:ell], allowed[ell]) for allowed in inner]
+    assert len(set(keys)) == len(keys)
+    orders = list(_ordered_search(H, _windows(3, 1, t, False), t, outer, _Budget(None), cut=False))
+    pairs = {(o[:ell], frozenset(o[ell:t - ell])) for o in orders}
+    assert 0 < len(inner) <= len(pairs) < len(orders)

@@ -526,6 +526,32 @@ class TestAbsorbCommand:
         assert report["results"]["good_sets"] == 3
         assert all(c["count"] == 120 for c in report["results"]["classified"])
 
+    @pytest.mark.parametrize("t, beta", [("400", "1/1000"), ("300", "1")])
+    def test_threshold_beyond_a_float_is_2_before_any_search(
+        self, tmp_path, capsys, monkeypatch, t, beta
+    ):
+        # 11^400 / 1000 and 11^300 are past the largest float; the size is
+        # checked before the value is built, and no set is classified
+        hostfile = tmp_path / "h.txt"
+        assert main(["generate", "--family", "binomial", "--n", "11", "--k", "3",
+                     "--p", "0.8", "--seed", "3", "--out", str(hostfile)]) == 0
+        capsys.readouterr()
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("classify_set ran")
+
+        monkeypatch.setattr(cli, "classify_set", no_search)
+        assert main(["absorb-classify", "--input", str(hostfile), "--ell", "2", "--t", t,
+                     "--beta", beta, "--limit", "1"]) == 2
+        assert "does not fit in a float" in capsys.readouterr().err
+
+    def test_threshold_at_the_float_limit(self):
+        # 2^1023 is a float and 2^1024 is not: the bound is the value's, not its logarithm's
+        assert cli._threshold(Fraction(1), 2, 1023) == 2.0 ** 1023
+        assert cli._threshold(Fraction(1, 2), 2, 1024) == 2.0 ** 1023
+        with pytest.raises(cli.InvalidQueryError, match="does not fit in a float"):
+            cli._threshold(Fraction(1), 2, 1024)
+
 
 def test_runtime_imports_only_the_standard_library():
     # numpy and friends may be installed; the package must not reach for them
