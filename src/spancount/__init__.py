@@ -10,9 +10,7 @@ at desk scale; nothing approximates silently.
 
 from .absorb import AbsorberConfig, can_absorb, classify_set
 from .bounds import (
-    CountBound,
     RationalBracket,
-    count_bound_from_exact,
     exp_neg_bracket,
     expected_random_count,
     log_bracket,

@@ -144,9 +144,8 @@ def classify_set(
     allowed = (everyone & ~s_mask,) * t
     count = 0
     prefix, reachable = None, {}
-    for order in _ordered_search(
-        H, _windows(k, gap, t, False), t, allowed, _Budget(budget), cut=False
-    ):
+    outer = _windows(k, gap, t, False)
+    for order in _ordered_search(H, outer, allowed, _Budget(budget), cut=False):
         a = order[:ell]
         if a != prefix:
             prefix, reachable = a, {}
@@ -156,7 +155,7 @@ def classify_set(
             rest = everyone & ~(x | vertex_mask(a))
             ends = reachable[x] = set()
             pins = [1 << v for v in a]
-            for q in _ordered_search(H, inner, m, pins + [x] * (m - 2 * ell) + [rest] * ell, None):
+            for q in _ordered_search(H, inner, pins + [x] * (m - 2 * ell) + [rest] * ell, None):
                 ends.add(q[m - ell:])
                 if len(ends) == most:
                     break

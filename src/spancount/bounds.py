@@ -18,8 +18,8 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .errors import DivisibilityError, InvalidQueryError
-from .paths import _window_count
+from .errors import InvalidQueryError
+from .paths import _cycle_gap, _window_count
 
 
 @dataclass(frozen=True)
@@ -45,18 +45,6 @@ class RationalBracket:
 
     def midpoint_float(self) -> float:
         return float((self.lo + self.hi) / 2)
-
-
-@dataclass(frozen=True)
-class CountBound:
-    """A counting quantity: log bracket plus the exact value when known.
-
-    log_value is a bracket on the natural logarithm, or None when the
-    quantity is zero.
-    """
-
-    log_value: Optional[RationalBracket]
-    exact_value: Optional[Fraction] = None
 
 
 # significant decimal digits of every exp/ln evaluation (64 bits and a margin)
@@ -114,11 +102,13 @@ def multinomial(n: int, sizes: Sequence[int]) -> int:
     return out
 
 
-def log_growth_bound(n: int, C, t: Optional[int] = None) -> CountBound:
+def log_growth_bound(n: int, C, t: Optional[int] = None) -> RationalBracket:
     """Log bracket of exp((1 - 1/t) n log n - C n); t omitted means the
     plain exp(n log n - C n) cycle-count bound."""
     if n < 1:
         raise InvalidQueryError("n must be >= 1")
+    if t is not None and t < 1:
+        raise InvalidQueryError(f"t must be >= 1, got {t}")
     C = Fraction(C)
     if C < 0:
         raise InvalidQueryError("C must be >= 0")
@@ -127,24 +117,15 @@ def log_growth_bound(n: int, C, t: Optional[int] = None) -> CountBound:
     scale = factor * n
     lo = logn.lo * scale - C * n
     hi = logn.hi * scale - C * n
-    return CountBound(RationalBracket(lo, hi))
-
-
-def count_bound_from_exact(value: Fraction) -> CountBound:
-    """Wrap an exact non-negative rational as a CountBound."""
-    value = Fraction(value)
-    if value < 0:
-        raise InvalidQueryError("counts cannot be negative")
-    if value == 0:
-        return CountBound(None, exact_value=value)
-    return CountBound(log_bracket(value), exact_value=value)
+    return RationalBracket(lo, hi)
 
 
 def expected_random_count(
     n: int, k: int, ell: int, delta, budget: Optional[int] = None
-) -> CountBound:
-    """Psi_{k,ell}(n, delta): expected Hamilton ell-cycle count in the
-    binomial random k-graph, as (complete-host count) * delta^|E(C)|.
+) -> Fraction:
+    """Psi_{k,ell}(n, delta), exactly: the expected Hamilton ell-cycle
+    count in the binomial random k-graph, as (complete-host count) *
+    delta^|E(C)|.
 
     The Hamilton ell-cycles of K_n^(k) are the images of one of them, W
     (the cyclic window layout on 0..n-1, as a host), under the n!
@@ -161,12 +142,8 @@ def expected_random_count(
         raise InvalidQueryError(f"delta = {delta} must lie in [0, 1]")
     if n < 0:
         raise InvalidQueryError(f"vertex count n={n} must be >= 0")
-    if not 0 <= ell < k:
-        raise InvalidQueryError(f"need 0 <= ell < k, got ell={ell}, k={k}")
-    gap = k - ell
-    if n % gap != 0:
-        raise DivisibilityError(f"(k-ell)={gap} must divide n={n}")
+    gap = _cycle_gap(n, k, ell)
     if n < k:
-        return count_bound_from_exact(Fraction(0))
+        return Fraction(0)
     count = math.factorial(n) // (n // gap * _window_count(n, k, ell, budget))
-    return count_bound_from_exact(count * delta ** (1 if n == k else n // gap))
+    return count * delta ** (1 if n == k else n // gap)

@@ -118,12 +118,32 @@ def _budget(text: str) -> int:
     return int(text)
 
 
+# the most digits an option's numerator or denominator may have: Python's
+# default limit on converting an int to text, which the reports do
+_MAX_DIGITS = 4300
+_TOO_LARGE = 10 ** _MAX_DIGITS
+
+
 def _fraction(text: str, option: str) -> Fraction:
-    """A rational option value such as 1/2 or 0.97."""
+    """A rational option value such as 1/2 or 0.97, whose numerator and
+    denominator have at most _MAX_DIGITS digits each.
+
+    An exponent larger in size than D + _MAX_DIGITS, where D counts the
+    digits before it, is refused on the text, before the number is
+    built: a nonzero value written so has more digits than that, and
+    building 1e-100000000 (or 0e100000000) would take seconds.
+    """
+    huge = (f"{option} must have at most {_MAX_DIGITS} digits in its numerator and"
+            f" denominator, got {text!r}")
+    head, _, exponent = text.lower().partition("e")
     try:
-        return Fraction(text)
+        refused = bool(exponent) and abs(int(exponent)) > sum(map(str.isdigit, head)) + _MAX_DIGITS
+        value = None if refused else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InvalidQueryError(f"{option} must be a rational number, got {text!r}") from None
+    if value is None or max(abs(value.numerator), value.denominator) >= _TOO_LARGE:
+        raise InvalidQueryError(huge)
+    return value
 
 
 # -- generate ------------------------------------------------------------
@@ -284,10 +304,7 @@ def cmd_count(args) -> Dict:
     results = {"n": H.n, "k": H.k, "ell": args.ell, "count": count}
     if delta is not None:
         psi = expected_random_count(H.n, H.k, args.ell, delta, budget=args.budget)
-        results["expected_random"] = {
-            "exact": str(psi.exact_value),
-            "float": float(psi.exact_value),
-        }
+        results["expected_random"] = {"exact": str(psi), "float": float(psi)}
     return {"config": _config(args, "count"), "results": results}
 
 

@@ -96,7 +96,7 @@ def _canonical_copies(
     least: Dict[Tuple[int, frozenset], Tuple[int, ...]] = {}
     for i in range(spec.t):
         allowed = _pinned(spec.t, available, i, anchor)
-        for injection in _ordered_search(H, edges, spec.t, allowed, None):
+        for injection in _ordered_search(H, edges, allowed, None):
             image = frozenset(tuple(sorted(injection[v] for v in e)) for e in edges)
             key = (vertex_mask(injection), image)
             if key not in least or injection < least[key]:

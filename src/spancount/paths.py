@@ -230,7 +230,7 @@ def _plan(windows: Layout, length: int):
     return tuple(map(tuple, closing)), tuple(mate), tuple(p for p, q in enumerate(mate) if q >= 0)
 
 
-def _class_links(windows: Layout, length: int, allowed: Sequence[int]) -> List[int]:
+def _class_links(windows: Layout, allowed: Sequence[int]) -> List[int]:
     """For each position p, the last earlier position of p's class, or -1.
 
     A class is a set of positions that lie in exactly the same windows
@@ -239,7 +239,7 @@ def _class_links(windows: Layout, length: int, allowed: Sequence[int]) -> List[i
     windows' vertex sets, so each ordering has exactly one such image
     whose classes are filled in ascending order.
     """
-    _, mate, mated = _plan(windows, length)
+    _, mate, mated = _plan(windows, len(allowed))
     links = list(mate)
     for p in mated:
         q = mate[p]
@@ -249,11 +249,11 @@ def _class_links(windows: Layout, length: int, allowed: Sequence[int]) -> List[i
     return links
 
 
-def _class_weight(windows: Layout, length: int, allowed: Sequence[int]) -> int:
+def _class_weight(windows: Layout, allowed: Sequence[int]) -> int:
     """The product of |class|! over the classes: how many orderings each
     one that the class cut keeps stands for."""
     rank: List[int] = []
-    for q in _class_links(windows, length, allowed):
+    for q in _class_links(windows, allowed):
         rank.append(rank[q] + 1 if q >= 0 else 1)
     return math.prod(rank)
 
@@ -261,15 +261,14 @@ def _class_weight(windows: Layout, length: int, allowed: Sequence[int]) -> int:
 def _ordered_search(
     H: Hypergraph,
     windows: Layout,
-    length: int,
     allowed: Sequence[int],
     budget: Optional[_Budget],
     cut: bool = True,
 ) -> Iterator[Tuple[int, ...]]:
-    """Yield, in lexicographic order, the orderings of `length` vertices
-    in which each window of the layout `windows` (position tuples, each
-    of k positions) is an edge of H; with `cut`, only those that fill
-    every class (`_class_links`) in ascending order.
+    """Yield, in lexicographic order, the orderings of len(allowed)
+    vertices in which each window of the layout `windows` (position
+    tuples, each of k positions) is an edge of H; with `cut`, only those
+    that fill every class (`_class_links`) in ascending order.
 
     Positions are filled in order by one loop over a stack of
     per-position candidate masks.  Position p takes the vertices of the
@@ -285,8 +284,9 @@ def _ordered_search(
     spends one node, so a budget bounds the nodes of the tree the cut
     leaves.
     """
+    length = len(allowed)
     closing = _plan(windows, length)[0]
-    links = _class_links(windows, length, allowed) if cut else [-1] * length
+    links = _class_links(windows, allowed) if cut else [-1] * length
     get = H._codegree_neighbours().get
     order = [-1] * length
     rest = [0] * length  # the candidates still to try at each filled position
@@ -354,7 +354,7 @@ def _cycle_orders(
             allowed = _pinned(n, blocks[0], s, (blocks[0] & -blocks[0]).bit_length() - 1)
         else:
             allowed = arcs[n - s:] + arcs[:n - s]
-        yield from _ordered_search(H, windows, n, allowed, budget)
+        yield from _ordered_search(H, windows, allowed, budget)
 
 
 def _search_cycle(
@@ -389,10 +389,21 @@ def _search_path(
     """
     allowed = [1 << v for v in a] + [interior] * interior.bit_count() + [1 << v for v in b]
     windows = _windows(H.k, H.k - ell, len(allowed), False)
-    return next(_ordered_search(H, windows, len(allowed), allowed, budget), None)
+    return next(_ordered_search(H, windows, allowed, budget), None)
 
 
 # -- Hamilton cycle enumeration ------------------------------------------
+
+
+def _cycle_gap(n: int, k: int, ell: int) -> int:
+    """k-ell, the stride of a Hamilton ell-cycle on n vertices; raises
+    unless 0 <= ell < k and k-ell divides n."""
+    if not 0 <= ell < k:
+        raise InvalidQueryError(f"need 0 <= ell < k, got ell={ell}, k={k}")
+    gap = k - ell
+    if n % gap != 0:
+        raise DivisibilityError(f"(k-ell)={gap} must divide n={n}")
+    return gap
 
 
 def _orbit_count(
@@ -422,7 +433,7 @@ def _orbit_count(
     gap, everyone = k - ell, (1 << n) - 1
     windows = _windows(k, gap, n, True)
     host = Hypergraph(n, k, windows) if H is None else H
-    weight = [_class_weight(windows, n, _pinned(n, everyone, s, 0)) for s in range(gap)]
+    weight = [_class_weight(windows, _pinned(n, everyone, s, 0)) for s in range(gap)]
     orders = _cycle_orders(host, (everyone,), windows, gap, _Budget(budget))
     try:
         return sum(weight[order.index(0)] for order in orders)
@@ -458,11 +469,7 @@ def enumerate_hamilton_ell_cycles(
     if mode not in ("count", "list"):
         raise InvalidQueryError(f"mode must be 'count' or 'list', got {mode!r}")
     k, n = H.k, H.n
-    if not 0 <= ell < k:
-        raise InvalidQueryError(f"need 0 <= ell < k, got ell={ell}, k={k}")
-    gap = k - ell
-    if n % gap != 0:
-        raise DivisibilityError(f"(k-ell)={gap} must divide n={n}")
+    gap = _cycle_gap(n, k, ell)
     if n < k or not H._codegree_neighbours():
         return 0 if mode == "count" else []
 

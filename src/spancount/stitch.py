@@ -19,10 +19,11 @@ Every returned certificate is validated before it leaves this module.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .bounds import RationalBracket, exp_neg_bracket, multinomial
 from .errors import DivisibilityError, InvalidQueryError
@@ -71,6 +72,23 @@ class RespectingCertificate:
         )
 
 
+def _arcs(order: Tuple[int, ...], sizes: Sequence[int]) -> Iterator[Tuple[frozenset, ...]]:
+    """For each of the two directions of the cyclic `order` and each
+    start, the vertex sets of its consecutive arcs of the given sizes.
+    An empty block occupies no arc, so a size 0 gives nothing."""
+    if any(size < 0 for size in sizes):
+        raise InvalidQueryError(f"block sizes must be >= 0, got {tuple(sizes)}")
+    if sum(sizes) != len(order):
+        raise InvalidQueryError(f"sizes sum to {sum(sizes)}, cycle has {len(order)} vertices")
+    if not all(sizes):
+        return
+    cuts = list(itertools.accumulate(sizes, initial=0))
+    for direction in (order, order[::-1]):
+        for start in range(len(order)):
+            seq = direction[start:] + direction[:start]
+            yield tuple(frozenset(seq[a:b]) for a, b in zip(cuts, cuts[1:]))
+
+
 def is_respecting(C, P: Partition) -> bool:
     """True iff, for one of the two directions of C, some rotation of
     its block ids is the arc layout of P: the blocks appear as
@@ -86,15 +104,7 @@ def is_respecting(C, P: Partition) -> bool:
     """
     if set(C.order) != set(P.vertex_set()):
         raise InvalidQueryError("cycle must span exactly the partition's vertices")
-    if not all(P.blocks):
-        return False
-    layout = [i for i, B in enumerate(P.blocks) for _ in B]
-    block_of = P.block_of()
-    for direction in (C.order, C.order[::-1]):
-        ids = [block_of[v] for v in direction]
-        if any(ids[s:] + ids[:s] == layout for s in range(len(ids))):
-            return True
-    return False
+    return tuple(map(frozenset, P.blocks)) in _arcs(C.order, P.sizes())
 
 
 def respecting_multiplicity(C: EllCycle, sv) -> int:
@@ -108,23 +118,7 @@ def respecting_multiplicity(C: EllCycle, sv) -> int:
     partitions, but the same edge set has 48 orderings, and together
     they respect 18.
     """
-    sizes = tuple(sv.sizes) if isinstance(sv, SizeVector) else tuple(sv)
-    n = len(C.order)
-    if sum(sizes) != n:
-        raise InvalidQueryError(f"sizes sum to {sum(sizes)}, cycle has {n} vertices")
-    if not all(sizes):
-        return 0
-    seen = set()
-    for direction in (C.order, C.order[::-1]):
-        for rot in range(n):
-            seq = direction[rot:] + direction[:rot]
-            blocks = []
-            pos = 0
-            for size in sizes:
-                blocks.append(frozenset(seq[pos:pos + size]))
-                pos += size
-            seen.add(tuple(blocks))
-    return len(seen)
+    return len(set(_arcs(C.order, sv.sizes if isinstance(sv, SizeVector) else tuple(sv))))
 
 
 # -- the respecting search ------------------------------------------------

@@ -206,7 +206,7 @@ def reference_classify(H, S, ell, t):
     allowed = (((1 << H.n) - 1) & ~s_mask,) * t
     count = 0
     layout = _windows(k, k - ell, t, False)
-    for order in _ordered_search(H, layout, t, allowed, _Budget(None), cut=False):
+    for order in _ordered_search(H, layout, allowed, _Budget(None), cut=False):
         interior = s_mask | vertex_mask(order[ell:t - ell])
         if _search_path(H, ell, order[:ell], order[t - ell:], interior, None) is not None:
             count += 1
@@ -241,9 +241,9 @@ def test_one_inner_search_per_prefix_and_interior(monkeypatch):
     S, ell, t = (0,), 2, 4
     calls = []
 
-    def spy(H, layout, length, allowed, budget, cut=True):
+    def spy(H, layout, allowed, budget, cut=True):
         calls.append(tuple(allowed))
-        return _ordered_search(H, layout, length, allowed, budget, cut)
+        return _ordered_search(H, layout, allowed, budget, cut)
 
     monkeypatch.setattr(absorb, "_ordered_search", spy)
     count, _ = classify_set(H, S, AbsorberConfig(Fraction(1, 1000), t), ell)
@@ -254,6 +254,6 @@ def test_one_inner_search_per_prefix_and_interior(monkeypatch):
     # next ones from the interior mask: no (prefix, interior) pair twice
     keys = [(allowed[:ell], allowed[ell]) for allowed in inner]
     assert len(set(keys)) == len(keys)
-    orders = list(_ordered_search(H, _windows(3, 1, t, False), t, outer, _Budget(None), cut=False))
+    orders = list(_ordered_search(H, _windows(3, 1, t, False), outer, _Budget(None), cut=False))
     pairs = {(o[:ell], frozenset(o[ell:t - ell])) for o in orders}
     assert 0 < len(inner) <= len(pairs) < len(orders)

@@ -422,6 +422,39 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: --ell must lie in 0..2, got {ell}\n"
 
 
+class TestRationalOptions:
+    # Python prints an int of at most 4,300 digits, so a report can hold no more
+    @pytest.mark.parametrize("beta", ["1e-5000", "1e-100000000"])
+    def test_huge_beta_is_2(self, host, capsys, monkeypatch, beta):
+        # 1e-5000 failed as the report printed it, and 1e-100000000 took
+        # longer than 10 s to build, so the text is checked before any build
+        def no_build(*args):
+            raise AssertionError("the option was built")
+
+        monkeypatch.setattr(cli, "Fraction", no_build)
+        assert main(["absorb-classify", "--input", host, "--ell", "1", "--t", "3",
+                     "--beta", beta, "--limit", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --beta must have at most 4300 digits in its numerator and denominator,"
+            f" got {beta!r}\n")
+
+    def test_huge_delta_is_2(self, host, capsys):
+        assert main(["count", "--input", host, "--ell", "2", "--delta", "1e-100000000"]) == 2
+        assert "--delta must have at most 4300 digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e-4299", Fraction(1, 10 ** 4299)), ("25e-4301", Fraction(1, 4 * 10 ** 4299)),
+        ("0e4301", Fraction(0)), ("1.5E2", Fraction(150)),
+    ])
+    def test_largest_values_pass(self, text, value):
+        assert cli._fraction(text, "--p") == value
+
+    @pytest.mark.parametrize("text", ["1e-4300", "1e4300", "3/" + "7" * 4301, "0e99999999"])
+    def test_values_past_4300_digits_are_refused(self, text):
+        with pytest.raises(cli.InvalidQueryError):
+            cli._fraction(text, "--p")
+
+
 class TestStitchTrial:
     def test_stitches_the_random_bisection_partition(self, monkeypatch):
         H = complete(24, 3)

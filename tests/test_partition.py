@@ -1,6 +1,7 @@
 """Size vectors, random bisection, degree events, and goodness checks."""
 
 import math
+from collections import Counter
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from itertools import combinations
@@ -31,6 +32,7 @@ from spancount import (
     size_vector,
     wilson_interval,
 )
+from spancount.partition import draw_bisection
 
 import random
 
@@ -178,6 +180,20 @@ class TestBisection:
         _, trace = random_bisection(H, sv, spec, seed=3)
         for level in trace.events:
             assert all(rec.holds for rec in level)
+
+    def test_draws_ordered_partitions_uniformly(self):
+        # each ordered partition with sizes (2, 2, 2, 2) is the result of
+        # exactly one sequence of uniform splits, so all M = 8!/2!^4 = 2,520
+        # are equally likely; 20 draws each on average, from fixed seeds
+        sv = SizeVector((2, 2, 2, 2), 2, 1)
+        M = math.factorial(8) // 2 ** 4
+        counts = Counter(tuple(draw_bisection(empty(8, 2), sv, seed)[-1]) for seed in range(20 * M))
+        assert len(counts) == M
+        chi2 = sum((c - 20) ** 2 for c in counts.values()) / 20
+        # the 99.9% quantile of chi-square with M - 1 degrees of freedom, by
+        # the Wilson-Hilferty approximation; 3.0902 is the normal one
+        df = M - 1
+        assert chi2 < df * (1 - 2 / (9 * df) + 3.0902 * math.sqrt(2 / (9 * df))) ** 3
 
     def test_events_fail_on_empty(self):
         # block size 48 with delta+gamma = 4/5: threshold is positive

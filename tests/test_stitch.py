@@ -116,6 +116,12 @@ class TestMultiplicity:
         )
         assert accepted == respecting_multiplicity(C, sizes)
 
+    @pytest.mark.parametrize("sizes", [(10, -1), (3, 3)])
+    def test_sizes_that_name_no_partition_raise(self, sizes):
+        # (10, -1) sums to the cycle's 9 vertices but has a negative block
+        with pytest.raises(InvalidQueryError):
+            respecting_multiplicity(EllCycle(range(9), 3, 2), sizes)
+
     def test_bounded_by_2n(self):
         C = EllCycle(tuple(range(8)), 2, 1)
         for sizes in ((4, 4), (2, 2, 2, 2), (8,), (2, 6), (3, 5)):
