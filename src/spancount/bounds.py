@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .errors import InvalidQueryError
-from .paths import _cycle_gap, _window_count
+from .paths import EllCycle, _window_count
 
 
 @dataclass(frozen=True)
@@ -125,25 +125,25 @@ def expected_random_count(
 ) -> Fraction:
     """Psi_{k,ell}(n, delta), exactly: the expected Hamilton ell-cycle
     count in the binomial random k-graph, as (complete-host count) *
-    delta^|E(C)|.
+    delta^|E(W)|.
 
     The Hamilton ell-cycles of K_n^(k) are the images of one of them, W
-    (the cyclic window layout on 0..n-1, as a host), under the n!
+    (its layout, `EllCycle.layout`, on 0..n-1 as a host), under the n!
     permutations, so there are n!/|Aut(W)| of them, and |Aut(W)| =
-    (n/(k-ell)) * N_W with N_W the orbit count on W (`paths._orbit_count`,
-    which states the argument, read through the enumerator's cache); at
-    (48, 4, 2) N_W is 2^25, from 4 orderings found.  That search is a
-    subtree of the one that would enumerate K_n's cycles, so `budget`
-    bounds it as it would the enumeration.  |E(C)| is W's count of distinct windows: n/(k-ell),
-    except at n = k, where every window is the one edge.
+    (n/phases) * N_W with N_W the orbit count on W (`paths._orbit_count`,
+    which states the argument for any cyclic layout, read through the
+    cache that `paths.count_copies` divides by); at (48, 4, 2) N_W is
+    2^25, from 4 orderings found.  That search is a subtree of the one
+    that would enumerate K_n's cycles, so `budget` bounds it as it would
+    the enumeration.  |E(W)| is W's number of distinct windows.
     """
     delta = Fraction(delta)
     if not 0 <= delta <= 1:
         raise InvalidQueryError(f"delta = {delta} must lie in [0, 1]")
     if n < 0:
         raise InvalidQueryError(f"vertex count n={n} must be >= 0")
-    gap = _cycle_gap(n, k, ell)
+    windows, phases = EllCycle.layout(k, ell, n)
     if n < k:
         return Fraction(0)
-    count = math.factorial(n) // (n // gap * _window_count(n, k, ell, budget))
-    return count * delta ** (1 if n == k else n // gap)
+    count = math.factorial(n) // (n // phases * _window_count(windows, phases, budget))
+    return count * delta ** len(set(map(frozenset, windows)))

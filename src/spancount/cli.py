@@ -48,6 +48,7 @@ from .paths import (
     EllCycle,
     EllPath,
     PowerCycle,
+    count_copies,
     enumerate_hamilton_ell_cycles,
     validate_windows,
 )
@@ -122,6 +123,8 @@ def _budget(text: str) -> int:
 # default limit on converting an int to text, which the reports do
 _MAX_DIGITS = 4300
 _TOO_LARGE = 10 ** _MAX_DIGITS
+# the least value that float() rounds past the largest float, 2^1024 - 2^971
+_FLOAT_LIMIT = 2 ** 1024 - 2 ** 970
 
 
 def _fraction(text: str, option: str) -> Fraction:
@@ -242,21 +245,18 @@ def cmd_stitch(args) -> Dict:
         power_mode != (args.ell is not None),
         "stitch needs one of --ell (ell-cycles) and --t (powers of tight cycles)",
     )
-    _require(not power_mode or args.t >= H.k, f"--t must be >= k = {H.k}, got {args.t}")
+    _require(not power_mode or H.k <= args.t <= H.n, f"--t must lie in {H.k}..{H.n}, got {args.t}")
     _require(
         power_mode or 1 <= args.ell < H.k, f"--ell must be >= 1 and < k = {H.k}, got {args.ell}"
     )
     _require(args.trials >= 1, "--trials must be >= 1")
     _require(args.workers >= 1, "--workers must be >= 1")
-    _require(
-        not (args.exact_count and power_mode) or args.t == H.k,
-        f"--exact-count counts Hamilton tight cycles, so with --t it needs t = k = {H.k}",
-    )
-    divisor = 1 if power_mode else H.k - args.ell
-    sv = size_vector(H.n, args.m, divisor, H.k)
+    param = args.t if power_mode else args.ell
+    # every block size is a multiple of the layout's phase count, its rotation step
+    windows, phases = (PowerCycle if power_mode else EllCycle).layout(H.k, param, H.n)
+    sv = size_vector(H.n, args.m, phases, H.k)
     spec = GoodnessSpec(_fraction(args.delta, "--delta"), _fraction(args.gamma, "--gamma"))
     target = spec.delta + spec.gamma / 2
-    param = args.t if power_mode else args.ell
 
     payloads = [
         (H, sv, target, power_mode, param, args.seed, trial, args.budget)
@@ -288,8 +288,7 @@ def cmd_stitch(args) -> Dict:
         "sample_certificate": sample_cert,
     }
     if args.exact_count:
-        ell = H.k - 1 if power_mode else args.ell
-        results["exact_count"] = enumerate_hamilton_ell_cycles(H, ell, budget=args.budget)
+        results["exact_count"] = count_copies(H, windows, phases, args.budget)
     return {"config": _config(args, "stitch"), "results": results}
 
 
@@ -304,6 +303,10 @@ def cmd_count(args) -> Dict:
     results = {"n": H.n, "k": H.k, "ell": args.ell, "count": count}
     if delta is not None:
         psi = expected_random_count(H.n, H.k, args.ell, delta, budget=args.budget)
+        # Psi outgrows the report's text at a small --delta, and its float at a large n
+        _require(max(psi.numerator, psi.denominator) < _TOO_LARGE and psi < _FLOAT_LIMIT,
+                 f"Psi at --delta {args.delta} does not fit in the report, which prints it"
+                 f" with at most {_MAX_DIGITS} digits per part and as a float")
         results["expected_random"] = {"exact": str(psi), "float": float(psi)}
     return {"config": _config(args, "count"), "results": results}
 
@@ -343,10 +346,8 @@ def _threshold(beta: Fraction, n: int, t: int) -> float:
     message = f"--beta * n^t does not fit in a float (n = {n}, t = {t})"
     if n > 1 and t * math.log2(n) + math.log2(beta.numerator) - math.log2(beta.denominator) > 1100:
         raise InvalidQueryError(message)
-    try:
-        return float(beta * n ** t)
-    except OverflowError:
-        raise InvalidQueryError(message) from None
+    _require(beta * n ** t < _FLOAT_LIMIT, message)
+    return float(beta * n ** t)
 
 
 def cmd_absorb_classify(args) -> Dict:
@@ -482,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, default=10)
     s.add_argument("--workers", type=int, default=1, help="trial-level parallelism")
     s.add_argument("--exact-count", action="store_true",
-                   help="also run the exact cycle enumerator for comparison")
+                   help="also count the host's distinct cycles of the stitched kind exactly")
     common(s)
     s.set_defaults(func=cmd_stitch)
 

@@ -36,11 +36,13 @@ Searches carry explicit node budgets, one node per position entered, so
 a budget bounds the nodes of the cut search tree; a partial result never
 masquerades as an exact one.
 
-Hamilton ell-cycles are counted as sub-hypergraphs (distinct edge
-sets), not orderings, by one orbit count (`_orbit_count`): every cycle
-stands for the same number of orderings, which the same count on the
-window layout W, taken as a host, gives.  So counting builds no edge
-set; only listing keys cycles by their edge sets.
+Each cycle kind states its cyclic layout and phase count once
+(`EllCycle.layout`, `PowerCycle.layout`), and copies of any such layout
+W are counted as sub-hypergraphs (distinct edge sets), not orderings,
+by one orbit count (`_orbit_count`, through `count_copies`): every copy
+stands for the same number of orderings, which the same count on W,
+taken as a host, gives.  So counting builds no edge set; only listing
+keys Hamilton ell-cycles by their edge sets.
 """
 
 from __future__ import annotations
@@ -64,6 +66,24 @@ def _check_distinct(order: Sequence[int]) -> None:
         raise InvalidStructureError("ordering contains repeated vertices")
 
 
+def _ell_order(order: Sequence[int], k: int, ell: int, cyclic: bool) -> Tuple[int, ...]:
+    """`order` as a tuple, checked as the ordering of an ell-cycle (if
+    `cyclic`) or an ell-path: distinct vertices, 0 <= ell < k, at least k
+    of them, and k-ell dividing their number t (a cycle) or t-ell (a
+    path); raises InvalidStructureError otherwise."""
+    order = tuple(order)
+    _check_distinct(order)
+    t, gap = len(order), k - ell
+    kind, name, span = ("cycle", "t", t) if cyclic else ("path", "t-ell", t - ell)
+    if not 0 <= ell < k:
+        raise InvalidStructureError(f"need 0 <= ell < k, got ell={ell}, k={k}")
+    if t < k:
+        raise InvalidStructureError(f"{kind} needs at least k={k} vertices, got {t}")
+    if span % gap != 0:
+        raise InvalidStructureError(f"(k-ell)={gap} must divide {name}={span}")
+    return order
+
+
 @dataclass(frozen=True)
 class EllPath:
     """A linear ordering whose edges are k-windows at stride k-ell."""
@@ -73,18 +93,7 @@ class EllPath:
     ell: int
 
     def __post_init__(self):
-        object.__setattr__(self, "order", tuple(self.order))
-        _check_distinct(self.order)
-        t = len(self.order)
-        gap = self.k - self.ell
-        if not 0 <= self.ell < self.k:
-            raise InvalidStructureError(f"need 0 <= ell < k, got ell={self.ell}, k={self.k}")
-        if t < self.k:
-            raise InvalidStructureError(f"path needs at least k={self.k} vertices, got {t}")
-        if (t - self.ell) % gap != 0:
-            raise InvalidStructureError(
-                f"(k-ell)={gap} must divide (t-ell)={t - self.ell}"
-            )
+        object.__setattr__(self, "order", _ell_order(self.order, self.k, self.ell, False))
 
     def windows(self) -> List[Tuple[int, ...]]:
         layout = _windows(self.k, self.k - self.ell, len(self.order), False)
@@ -104,19 +113,22 @@ class EllCycle:
     ell: int
 
     def __post_init__(self):
-        object.__setattr__(self, "order", tuple(self.order))
-        _check_distinct(self.order)
-        t = len(self.order)
-        gap = self.k - self.ell
-        if not 0 <= self.ell < self.k:
-            raise InvalidStructureError(f"need 0 <= ell < k, got ell={self.ell}, k={self.k}")
-        if t < self.k:
-            raise InvalidStructureError(f"cycle needs at least k={self.k} vertices, got {t}")
-        if t % gap != 0:
-            raise InvalidStructureError(f"(k-ell)={gap} must divide the cycle length {t}")
+        object.__setattr__(self, "order", _ell_order(self.order, self.k, self.ell, True))
+
+    @staticmethod
+    def layout(k: int, ell: int, n: int) -> Tuple[Layout, int]:
+        """The window layout of a Hamilton ell-cycle on n positions and
+        its phase count k-ell, the rotation step that keeps it; raises
+        unless 0 <= ell < k and k-ell divides n."""
+        if not 0 <= ell < k:
+            raise InvalidQueryError(f"need 0 <= ell < k, got ell={ell}, k={k}")
+        gap = k - ell
+        if n % gap != 0:
+            raise DivisibilityError(f"(k-ell)={gap} must divide n={n}")
+        return _windows(k, gap, n, True), gap
 
     def windows(self) -> List[Tuple[int, ...]]:
-        layout = _windows(self.k, self.k - self.ell, len(self.order), True)
+        layout, _ = self.layout(self.k, self.ell, len(self.order))
         return [tuple(self.order[q] for q in w) for w in layout]
 
     def edge_set(self) -> frozenset:
@@ -141,8 +153,15 @@ class PowerCycle:
                 f"cycle needs at least t={self.t} vertices, got {len(self.order)}"
             )
 
+    @staticmethod
+    def layout(k: int, t: int, n: int) -> Tuple[Layout, int]:
+        """The window layout of the (t-k+1)th power of a Hamilton tight
+        cycle on n >= t >= k positions, and its phase count, 1: every
+        rotation keeps it."""
+        return _power_windows(k, t, n), 1
+
     def windows(self) -> List[Tuple[int, ...]]:
-        layout = _power_windows(self.k, self.t, len(self.order))
+        layout, _ = self.layout(self.k, self.t, len(self.order))
         return [tuple(self.order[q] for q in w) for w in layout]
 
 
@@ -337,10 +356,11 @@ def _cycle_orders(
     windows: Layout,
     phases: int,
     budget: _Budget,
-) -> Iterator[Tuple[int, ...]]:
+) -> Iterator[Tuple[List[int], Tuple[int, ...]]]:
     """Every cyclic ordering in which the blocks (vertex masks) fill
     consecutive arcs in order and every window of the cyclic layout
-    `windows` is an edge, V_1's arc starting at a phase s < `phases`.
+    `windows` is an edge, V_1's arc starting at a phase s < `phases`,
+    each with the per-position masks of the phase that found it.
 
     Rotating an ordering by a multiple of `phases` must keep the
     layout; then any such ordering has a rotation found here.  A single
@@ -354,7 +374,7 @@ def _cycle_orders(
             allowed = _pinned(n, blocks[0], s, (blocks[0] & -blocks[0]).bit_length() - 1)
         else:
             allowed = arcs[n - s:] + arcs[:n - s]
-        yield from _ordered_search(H, windows, allowed, budget)
+        yield from zip(itertools.repeat(allowed), _ordered_search(H, windows, allowed, budget))
 
 
 def _search_cycle(
@@ -370,7 +390,7 @@ def _search_cycle(
     benchmark's tracer (`bench/tracing.py`) can time their searches as
     its `paths.search` frame.
     """
-    return next(_cycle_orders(H, blocks, windows, phases, budget), None)
+    return next((order for _, order in _cycle_orders(H, blocks, windows, phases, budget)), None)
 
 
 def _search_path(
@@ -392,51 +412,40 @@ def _search_path(
     return next(_ordered_search(H, windows, allowed, budget), None)
 
 
-# -- Hamilton cycle enumeration ------------------------------------------
-
-
-def _cycle_gap(n: int, k: int, ell: int) -> int:
-    """k-ell, the stride of a Hamilton ell-cycle on n vertices; raises
-    unless 0 <= ell < k and k-ell divides n."""
-    if not 0 <= ell < k:
-        raise InvalidQueryError(f"need 0 <= ell < k, got ell={ell}, k={k}")
-    gap = k - ell
-    if n % gap != 0:
-        raise DivisibilityError(f"(k-ell)={gap} must divide n={n}")
-    return gap
+# -- counting copies of a cyclic layout ----------------------------------
 
 
 def _orbit_count(
-    n: int, k: int, ell: int, budget: Optional[int], H: Optional[Hypergraph] = None
+    windows: Layout, phases: int, budget: Optional[int], H: Optional[Hypergraph] = None
 ) -> int:
-    """The orderings of 0..n-1 (n >= k) whose cyclic ell-windows are all
-    edges of H and that put vertex 0 at a phase position s < k-ell; with
-    H None, those of W, the window layout on 0..n-1 taken as a host.
+    """The orderings of H's vertices whose windows of the cyclic layout
+    `windows` are all edges of H and that put vertex 0 at a phase
+    position s < `phases`; with H None, those of W, the layout on its
+    positions 0..n-1 taken as a host.
 
-    This is the one count of Hamilton ell-cycles.  Each Hamilton
-    ell-cycle C is a copy of W, so the orderings whose windows are
-    exactly C's edges are one coset of Aut(W), |Aut(W)| of them.
-    Rotation by k-ell is an automorphism of W that moves vertex 0 on by
-    k-ell positions, so it splits that coset into orbits of n/(k-ell),
-    each with vertex 0 at exactly one phase.  So every cycle of H stands
-    for the same number of the orderings counted here, N_W, the count
-    on W itself: the count on H is count(H) * N_W, and |Aut(W)| =
-    n/(k-ell) * N_W.
+    This is the one count of copies of W, for any cyclic layout whose
+    rotation by `phases` positions keeps it (an ell-cycle's, with k-ell
+    phases, or a power of a tight cycle's, with one).  Each copy C of W
+    in H is hit by one coset of Aut(W): the |Aut(W)| orderings whose
+    windows are exactly C's edges.  Rotation by `phases` is an
+    automorphism of W that moves vertex 0 on by `phases` positions, so
+    it splits that coset into orbits of n/phases, each with vertex 0 at
+    exactly one phase.  So every copy of W in H stands for the same
+    number of the orderings counted here, N_W, the count on W itself:
+    the count on H is copies(H) * N_W, and |Aut(W)| = n/phases * N_W.
 
     The search pins vertex 0 at phase s (`_cycle_orders` with the one
     block 0..n-1) and fills each window class in ascending order, so it
     finds one ordering per orbit of the class permutations; each stands
-    for the product of |class|! over its phase's classes, vertex 0 being
-    a class of its own.  The search spends at most `budget` nodes, and
-    its error names the host it ran on.
+    for the product of |class|! over the classes of its phase's masks,
+    vertex 0 being a class of its own.  The search spends at most
+    `budget` nodes, and its error names the host it ran on.
     """
-    gap, everyone = k - ell, (1 << n) - 1
-    windows = _windows(k, gap, n, True)
-    host = Hypergraph(n, k, windows) if H is None else H
-    weight = [_class_weight(windows, _pinned(n, everyone, s, 0)) for s in range(gap)]
-    orders = _cycle_orders(host, (everyone,), windows, gap, _Budget(budget))
+    host = H if H is not None else Hypergraph(1 + max(map(max, windows)), len(windows[0]), windows)
+    orders = _cycle_orders(host, ((1 << host.n) - 1,), windows, phases, _Budget(budget))
     try:
-        return sum(weight[order.index(0)] for order in orders)
+        return sum(_class_weight(windows, allowed) * sum(1 for _ in found)
+                   for allowed, found in itertools.groupby(orders, operator.itemgetter(0)))
     except BudgetExceededError:
         search = "the host's cycle search" if H is not None else (
             "the cycle search on W, the window layout as a host")
@@ -446,9 +455,30 @@ def _orbit_count(
 
 
 @functools.lru_cache(maxsize=256)
-def _window_count(n: int, k: int, ell: int, budget: Optional[int]) -> int:
+def _window_count(windows: Layout, phases: int, budget: Optional[int]) -> int:
     """N_W (`_orbit_count` on W), kept per budget once its search completes."""
-    return _orbit_count(n, k, ell, budget)
+    return _orbit_count(windows, phases, budget)
+
+
+def count_copies(H: Hypergraph, windows: Layout, phases: int, budget: Optional[int] = None) -> int:
+    """The number of distinct copies (edge sets) in H of W, the cyclic
+    layout `windows` on H's vertex count with `phases` phases (as
+    `EllCycle.layout` and `PowerCycle.layout` give it).
+
+    It divides `_orbit_count` on H by the same count on W, which it
+    reads (`_window_count`) only when H has a copy; each search spends
+    at most `budget` nodes.
+    """
+    # an edgeless host, as every host with fewer vertices than an edge is, needs no search
+    orbits = _orbit_count(windows, phases, budget, H) if H._codegree_neighbours() else 0
+    if not orbits:
+        return 0
+    count, rest = divmod(orbits, _window_count(windows, phases, budget))
+    assert not rest, f"{orbits} orderings do not split into copies of the same count"
+    return count
+
+
+# -- Hamilton cycle enumeration ------------------------------------------
 
 
 def enumerate_hamilton_ell_cycles(
@@ -460,29 +490,19 @@ def enumerate_hamilton_ell_cycles(
     """Count (or list) the distinct Hamilton ell-cycles of H.
 
     Distinctness is by edge set, so rotations and reflections of the
-    same sub-hypergraph count once.  Count mode divides `_orbit_count`
-    on H by the same count on W, the window layout as a host, which it
-    reads (`_window_count`) only when H has a cycle; each search spends
-    at most `budget` nodes.  List mode keeps the first ordering the
-    search finds of each edge set, in search order.
+    same sub-hypergraph count once.  Count mode is `count_copies` on the
+    ell-cycle layout; each search spends at most `budget` nodes.  List
+    mode keeps the first ordering the search finds of each edge set, in
+    search order.
     """
     if mode not in ("count", "list"):
         raise InvalidQueryError(f"mode must be 'count' or 'list', got {mode!r}")
-    k, n = H.k, H.n
-    gap = _cycle_gap(n, k, ell)
-    if n < k or not H._codegree_neighbours():
-        return 0 if mode == "count" else []
-
-    if mode == "list":
-        windows = _windows(k, gap, n, True)
-        cycles: dict = {}
-        for order in _cycle_orders(H, ((1 << n) - 1,), windows, gap, _Budget(budget)):
-            cycle = EllCycle(order, k, ell)
+    windows, phases = EllCycle.layout(H.k, ell, H.n)
+    if mode == "count":
+        return count_copies(H, windows, phases, budget)
+    cycles: dict = {}
+    if H._codegree_neighbours():  # an edgeless host (any with n < k) has no cycle
+        for _, order in _cycle_orders(H, ((1 << H.n) - 1,), windows, phases, _Budget(budget)):
+            cycle = EllCycle(order, H.k, ell)
             cycles.setdefault(cycle.edge_set(), cycle)
-        return list(cycles.values())
-    orbits = _orbit_count(n, k, ell, budget, H)
-    if not orbits:
-        return 0
-    count, rest = divmod(orbits, _window_count(n, k, ell, budget))
-    assert not rest, f"{orbits} orderings do not split into cycles of the same count"
-    return count
+    return list(cycles.values())

@@ -23,21 +23,13 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .bounds import RationalBracket, exp_neg_bracket, multinomial
 from .errors import DivisibilityError, InvalidQueryError
 from .hypergraphs import Hypergraph, vertex_mask
 from .partition import Partition, SizeVector
-from .paths import (
-    EllCycle,
-    PowerCycle,
-    _Budget,
-    _power_windows,
-    _search_cycle,
-    _windows,
-    validate_windows,
-)
+from .paths import EllCycle, PowerCycle, _Budget, _search_cycle, validate_windows
 
 
 @dataclass(frozen=True)
@@ -138,18 +130,9 @@ def stitch_cycle(
     compatibility and ignored.  `node_budget` bounds the search over all
     phases together; BudgetExceededError is raised when it runs out.
     """
-    k = H.k
-    if not 1 <= ell < k:
-        raise InvalidQueryError(f"need 1 <= ell < k, got ell={ell}, k={k}")
-    gap = k - ell
-    for block in P.blocks:
-        if len(block) % gap != 0:
-            raise DivisibilityError(
-                f"(k-ell)={gap} must divide every block size, got {len(block)}"
-            )
-    n, blocks = _span(P, k)
-    order = _search_cycle(H, blocks, _windows(k, gap, n, True), gap, _Budget(node_budget))
-    return _certified(H, P, "ell-cycle", ell, order)
+    if not 1 <= ell < H.k:
+        raise InvalidQueryError(f"need 1 <= ell < k, got ell={ell}, k={H.k}")
+    return _stitch(H, P, "ell-cycle", ell, node_budget)
 
 
 def stitch_power_cycle(
@@ -164,31 +147,32 @@ def stitch_power_cycle(
     spends more than `node_budget` nodes."""
     if t < H.k:
         raise InvalidQueryError(f"window width t={t} must be >= k={H.k}")
-    n, blocks = _span(P, t)
-    order = _search_cycle(H, blocks, _power_windows(H.k, t, n), 1, _Budget(node_budget))
-    return _certified(H, P, "power-cycle", t, order)
+    return _stitch(H, P, "power-cycle", t, node_budget)
 
 
-def _span(P: Partition, least: int) -> Tuple[int, List[int]]:
-    """The number of vertices of P, which a cycle needs to be at least
-    `least`, and P's blocks as the search takes them, vertex masks; every
-    block must be nonempty to occupy an arc."""
-    n = sum(P.sizes())
+def _stitch(
+    H: Hypergraph, P: Partition, kind: str, param: int, node_budget: Optional[int]
+) -> Optional[RespectingCertificate]:
+    """The certificate of the first P-respecting cycle of `kind` with
+    parameter `param` that the search finds, validated against H and P,
+    or None.  P's blocks must be nonempty, span at least k vertices (t
+    for a power), and have sizes that the layout's phase count (k-ell
+    for an ell-cycle) divides, so that every arc starts at a phase."""
+    n, ell_cycle = sum(P.sizes()), kind == "ell-cycle"
+    least = H.k if ell_cycle else param
     if n < least or not all(P.blocks):
         raise InvalidQueryError(
             f"need nonempty blocks and at least {least} vertices, got sizes {P.sizes()}"
         )
-    return n, list(map(vertex_mask, P.blocks))
-
-
-def _certified(
-    H: Hypergraph, P: Partition, kind: str, param: int, order: Optional[Tuple[int, ...]]
-) -> Optional[RespectingCertificate]:
-    """The certificate of a found order, validated against H and P."""
+    windows, phases = (EllCycle if ell_cycle else PowerCycle).layout(H.k, param, n)
+    if any(size % phases for size in P.sizes()):
+        raise DivisibilityError(f"the phase count {phases} (k-ell) must divide every block"
+                                f" size, got sizes {P.sizes()}")
+    order = _search_cycle(H, [*map(vertex_mask, P.blocks)], windows, phases, _Budget(node_budget))
     if order is None:
         return None
     cert = RespectingCertificate(order, P, kind, H.k, param)
-    structure = cert.cycle() if kind == "ell-cycle" else cert.power_cycle()
+    structure = cert.cycle() if ell_cycle else cert.power_cycle()
     if not validate_windows(H, structure) or not is_respecting(structure, P):
         raise AssertionError(f"stitched {kind} failed validation; construction bug")
     return cert

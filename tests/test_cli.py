@@ -304,16 +304,16 @@ class TestExitCodes:
         assert main(["absorb-classify", "--input", str(k7), "--ell", ell, "--t", "4"]) == 2
         assert "--ell" in capsys.readouterr().err
 
-    def test_exact_count_of_a_power_beyond_k_is_2(self, tmp_path):
+    def test_exact_count_counts_the_stitched_power(self, tmp_path):
         # a tight cycle has no 4-clique, so it holds no power with t = 4
         tight = tmp_path / "c8.txt"
         tight.write_text(Hypergraph(8, 3, EllCycle(range(8), 3, 2).windows()).to_edge_list())
         argv = ["stitch", "--input", str(tight), "--m", "3", "--delta", "1/2",
                 "--gamma", "1/10", "--trials", "1", "--exact-count"]
-        assert main(argv + ["--t", "4"]) == 2
-        out = tmp_path / "r.json"
-        assert main(argv + ["--t", "3", "--out", str(out)]) == 0  # t = k: tight cycles
-        assert json.loads(out.read_text())["results"]["exact_count"] == 1
+        for t, count in (("4", 0), ("3", 1)):  # t = k: the tight cycle itself
+            out = tmp_path / f"r{t}.json"
+            assert main(argv + ["--t", t, "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["results"]["exact_count"] == count
 
     def test_stitch_budget_exhaustion_is_3(self, tmp_path):
         k24 = tmp_path / "k24.txt"
@@ -353,6 +353,22 @@ class TestExitCodes:
         for hostfile in self.stitch_hosts(tmp_path):
             assert main(["stitch", "--input", str(hostfile), "--t", "2", "--m", "3",
                          "--delta", "1/2", "--gamma", "1/10", "--trials", "1"]) == 2
+
+    def test_power_beyond_n_is_2_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        # checked before any trial, so the exit code does not hang on a partition being good
+        hostfile = tmp_path / "h.txt"
+        assert main(["generate", "--family", "binomial", "--n", "24", "--k", "3",
+                     "--p", "0.9", "--seed", "1", "--out", str(hostfile)]) == 0
+        capsys.readouterr()
+
+        def no_trial(payload):
+            raise AssertionError("a stitch trial ran")
+
+        monkeypatch.setattr(cli, "_stitch_trial", no_trial)
+        argv = ["stitch", "--input", str(hostfile), "--t", "30", "--m", "6", "--gamma", "1/10"]
+        for extra in (["--delta", "1/2", "--trials", "1"], ["--delta", "0", "--trials", "3"]):
+            assert main(argv + extra) == 2
+            assert capsys.readouterr().err == "error: --t must lie in 3..24, got 30\n"
 
     @pytest.mark.parametrize("ell", ["3", "0", "-1"])
     def test_ell_outside_one_to_k_is_2_on_every_host(self, tmp_path, ell):
@@ -476,6 +492,24 @@ class TestCountCommand:
         assert main(argv + ["--delta", "3/2"]) == 2
         assert capsys.readouterr().err == "error: --delta must lie in [0, 1], got 3/2\n"
 
+    @pytest.mark.parametrize("text, ell, delta", [
+        # Psi's denominator has 6,001 digits, past what str() prints
+        (None, "2", "1e-1000"),
+        # Psi = 199!/2, about 10^372, past the largest float
+        ("200 2\n", "1", "1"),
+    ], ids=["text", "float"])
+    def test_psi_past_the_report_is_2(self, tmp_path, capsys, text, ell, delta):
+        hostfile = tmp_path / "h.txt"
+        if text is None:
+            assert main(["generate", "--family", "binomial", "--n", "12", "--k", "4",
+                         "--p", "0.3", "--seed", "4", "--out", str(hostfile)]) == 0
+        else:
+            hostfile.write_text(text)
+        capsys.readouterr()
+        assert main(["count", "--input", str(hostfile), "--ell", ell, "--delta", delta]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: Psi at --delta {delta} does not fit in the report")
+
     def test_budget_exhaustion_names_the_search(self, host, tmp_path, capsys):
         assert main(["count", "--input", host, "--ell", "1", "--budget", "2"]) == 3
         assert capsys.readouterr().err == (
@@ -584,6 +618,12 @@ class TestAbsorbCommand:
         assert cli._threshold(Fraction(1, 2), 2, 1024) == 2.0 ** 1023
         with pytest.raises(cli.InvalidQueryError, match="does not fit in a float"):
             cli._threshold(Fraction(1), 2, 1024)
+        # the limit is the least value that float() rounds past the largest float
+        assert cli._threshold(Fraction(cli._FLOAT_LIMIT - 1), 1, 1) == sys.float_info.max
+        with pytest.raises(OverflowError):
+            float(Fraction(cli._FLOAT_LIMIT))
+        with pytest.raises(cli.InvalidQueryError, match="does not fit in a float"):
+            cli._threshold(Fraction(cli._FLOAT_LIMIT), 1, 1)
 
 
 def test_runtime_imports_only_the_standard_library():

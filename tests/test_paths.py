@@ -1,6 +1,8 @@
 """Path/cycle structures, validators, and exact solvers against oracles."""
 
+import itertools
 import math
+import operator
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +24,7 @@ from spancount import (
 )
 from spancount.absorb import can_absorb
 from spancount.hypergraphs import Hypergraph, vertex_mask
-from spancount.paths import _orbit_count, _search_path
+from spancount.paths import _orbit_count, _search_path, count_copies
 
 
 class TestStructures:
@@ -182,4 +184,45 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError):
             enumerate_hamilton_ell_cycles(H, 1, budget=61)
         with pytest.raises(BudgetExceededError):
-            _orbit_count(10, 3, 1, 62)
+            _orbit_count(*EllCycle.layout(3, 1, 10), 62)
+
+
+@st.composite
+def power_hosts(draw):
+    """(H, t): a random host with 2 <= k <= 4, k <= t <= 5 and t <= n <= 8."""
+    k = draw(st.integers(2, 4))
+    t = draw(st.integers(k, 5))
+    n = draw(st.integers(t, 8))
+    p = draw(st.sampled_from([0.7, 0.9, 1.0]))
+    return gen_random(n, k, p, draw(st.integers(0, 1 << 16))), t
+
+
+def brute_force_power_count(H, t):
+    """The distinct edge sets of the (t-k+1)th powers of Hamilton tight
+    cycles of H, read off all n! orderings: every k-subset of every cyclic
+    t-window of an ordering must be an edge."""
+    n, k = H.n, H.k
+    edges = set(map(frozenset, H.edges))
+    windows = [[(i + j) % n for j in range(t)] for i in range(n)]
+    subsets = {c for w in windows for c in itertools.combinations(sorted(w), k)}
+    getters = [operator.itemgetter(*c) for c in subsets]
+    found = set()
+    for order in itertools.permutations(range(n)):
+        image = frozenset(frozenset(get(order)) for get in getters)
+        if image <= edges:
+            found.add(image)
+    return len(found)
+
+
+class TestPowerCount:
+    @settings(max_examples=40, deadline=None)
+    @given(power_hosts())
+    @example((complete(8, 2), 3))  # the square of a Hamilton cycle in K_8
+    @example((complete(6, 3), 5))  # k < t < n
+    @example((empty(7, 3), 4))
+    def test_orbit_count_over_the_power_layout_is_the_brute_force_count(self, case):
+        H, t = case
+        count = count_copies(H, *PowerCycle.layout(H.k, t, H.n))
+        assert count == brute_force_power_count(H, t)
+        if t == H.k:  # a tight cycle: the power layout has the tight cycle's windows
+            assert count == enumerate_hamilton_ell_cycles(H, H.k - 1)
