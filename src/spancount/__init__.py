@@ -54,7 +54,6 @@ from .partition import (
     SizeVector,
     block_size_tree,
     check_good,
-    check_good_factor,
     degree_meets_threshold,
     derive_seed,
     estimate_good_probability,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import DivisibilityError, InvalidQueryError
 from .hypergraphs import Hypergraph, complete, vertex_mask
@@ -104,55 +104,50 @@ def _canonical_copies(
     return sorted((injection, key[0]) for key, injection in least.items())
 
 
-def _factor_search(
-    H: Hypergraph,
-    spec: FactorSpec,
-    budget: Optional[int],
-    count_all: bool,
-    within: Optional[Iterable[int]] = None,
-) -> Tuple[int, Optional[FactorDecomposition]]:
-    """Shared backtracking core: the number of F-factors of H[within]
-    (default: all of H) reached and the first one; stops at the first
-    unless `count_all`.  The caller verifies what it returns."""
+def _factors(
+    H: Hypergraph, spec: FactorSpec, budget: Optional[int], within: Optional[Iterable[int]] = None
+) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+    """The F-factors of H[within] (default: all of H) in search order, each
+    as its tuple of injections, from one backtracking search that spends a
+    budget node per internal node.  The divisibility and uniformity checks
+    run at the call; the caller verifies what it keeps."""
     cover = vertex_mask(range(H.n) if within is None else within)
     if (size := cover.bit_count()) % spec.t != 0:
         raise DivisibilityError(f"|F| = {spec.t} must divide the {size} vertices to cover")
     if spec.F.k != H.k:
         raise InvalidQueryError(f"pattern uniformity {spec.F.k} != host uniformity {H.k}")
     counter = _Budget(budget)
-    total = 0
-    first: Optional[Tuple[Tuple[int, ...], ...]] = None
     # every uncovered vertex is at least the anchor, the lowest uncovered
     # bit, so a node's copies are its anchor's copies on the cover from the
     # anchor up that avoid the covered vertices
     copies_at: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
 
-    def descend(uncovered: int, chosen: Tuple[Tuple[int, ...], ...]) -> bool:
-        """Search below the copies `chosen`; True once the search should stop."""
-        nonlocal total, first
+    def descend(
+        uncovered: int, chosen: Tuple[Tuple[int, ...], ...]
+    ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
         if not uncovered:
-            total += 1
-            if first is None:
-                first = chosen
-            return not count_all
+            yield chosen
+            return
         counter.spend()
         low = uncovered & -uncovered
         if low not in copies_at:
             copies_at[low] = _canonical_copies(H, spec, cover & -low, low.bit_length() - 1)
-        return any(
-            descend(uncovered ^ mask, chosen + (injection,))
-            for injection, mask in copies_at[low] if not mask & ~uncovered
-        )
+        for injection, mask in copies_at[low]:
+            if not mask & ~uncovered:
+                yield from descend(uncovered ^ mask, chosen + (injection,))
 
-    descend(cover, ())
-    return total, None if first is None else FactorDecomposition(first)
+    return descend(cover, ())
 
 
 def _verified(
-    H: Hypergraph, spec: FactorSpec, dec: Optional[FactorDecomposition]
+    H: Hypergraph, spec: FactorSpec, copies: Optional[Tuple[Tuple[int, ...], ...]]
 ) -> Optional[FactorDecomposition]:
-    """`dec` once verify_decomposition accepts it as an F-factor of H."""
-    if dec is not None and not verify_decomposition(H, spec, dec):
+    """The decomposition of `copies` once verify_decomposition accepts it as
+    an F-factor of H; None for None."""
+    if copies is None:
+        return None
+    dec = FactorDecomposition(copies)
+    if not verify_decomposition(H, spec, dec):
         raise AssertionError("factor search returned an invalid decomposition")
     return dec
 
@@ -161,7 +156,7 @@ def find_f_factor(
     H: Hypergraph, spec: FactorSpec, budget: Optional[int] = None
 ) -> Optional[FactorDecomposition]:
     """An F-factor of H found by exact backtracking, or None."""
-    return _verified(H, spec, _factor_search(H, spec, budget, count_all=False)[1])
+    return _verified(H, spec, next(_factors(H, spec, budget), None))
 
 
 def factor_census(
@@ -169,8 +164,9 @@ def factor_census(
 ) -> Tuple[int, Optional[FactorDecomposition]]:
     """The exact number of distinct F-factors of H and the first one the
     search reaches (the one find_f_factor returns), from one search."""
-    count, dec = _factor_search(H, spec, budget, count_all=True)
-    return count, _verified(H, spec, dec)
+    found = _factors(H, spec, budget)
+    first = next(found, None)
+    return (first is not None) + sum(1 for _ in found), _verified(H, spec, first)
 
 
 def count_f_factors(H: Hypergraph, spec: FactorSpec, budget: Optional[int] = None) -> int:
@@ -193,13 +189,13 @@ def stitch_factor(
     on H itself with its own budget, unioned; None if any block fails."""
     if P.vertex_set() != frozenset(range(H.n)):
         raise InvalidQueryError("the partition must cover exactly the host's vertices")
-    copies: List[Tuple[int, ...]] = []
+    copies: Tuple[Tuple[int, ...], ...] = ()
     for block in P.blocks:
-        dec = _factor_search(H, spec, budget, count_all=False, within=block)[1]
-        if dec is None:
+        found = next(_factors(H, spec, budget, within=block), None)
+        if found is None:
             return None
-        copies.extend(dec.copies)
-    return _verified(H, spec, FactorDecomposition(tuple(copies)))
+        copies += found
+    return _verified(H, spec, copies)
 
 
 @dataclass(frozen=True)

@@ -158,20 +158,6 @@ class Hypergraph:
             raise InvalidQueryError("U and S must be subsets of the vertex set")
         return _degrees(self, u, len(u), s)[1][0]
 
-    def min_d_degree(self, d: int, within: Optional[Iterable[int]] = None) -> int:
-        """Minimum of d_H(S) over all d-subsets S; d = k-1 is the codegree.
-
-        With `within`, the minimum of d_{H[within]}(S) over the d-subsets S
-        of `within`: only edges inside `within` count.  A min over `_degrees`."""
-        if not 1 <= d <= self.k - 1:
-            raise InvalidQueryError(f"d = {d} must satisfy 1 <= d <= k-1 = {self.k - 1}")
-        inside = frozenset(range(self.n) if within is None else within)
-        if any(v < 0 or v >= self.n for v in inside):
-            raise InvalidQueryError("within must be a subset of the vertex set")
-        if len(inside) < d:
-            raise InvalidQueryError(f"no {d}-subsets among {len(inside)} vertices")
-        return min(_degrees(self, inside, d, inside)[1])
-
     # -- serialization ---------------------------------------------------
 
     def to_edge_list(self) -> str:

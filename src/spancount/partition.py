@@ -9,9 +9,8 @@ fractional-power terms (m^{-1/4}, m^{-1/3}); each is turned once, in
 exact integer arithmetic, into the least integer degree that meets
 it, so marginal events never flip on rounding.
 
-The degree events, `check_good` and `check_good_factor` count degrees
-with one kernel, `hypergraphs._degrees`, over the codegree masks, and
-the two checks share one violation scan, `_scan`.
+The degree events and the one goodness check, `check_good`, count
+degrees with one kernel, `hypergraphs._degrees`, over the codegree masks.
 
 At desk scale the thresholds frequently clamp to zero (events
 vacuously true); each event records whether that happened so
@@ -279,25 +278,6 @@ class GoodnessReport:
     truncated: bool = False
 
 
-def _scan(blocks, bound: Fraction, max_violations: int) -> GoodnessReport:
-    """The violation scan of both goodness checks.  `blocks` yields (i, scale,
-    (sets, counts)); set D violates when its count / scale < bound."""
-    violations: List[Tuple[int, Tuple[int, ...]]] = []
-    ratios: List[Fraction] = []
-    for i, scale, (sets, counts) in blocks:
-        if not counts:
-            continue
-        ratios.append(Fraction(min(counts), scale))
-        if ratios[-1] < bound:  # only then does some D of this block violate
-            # count / scale < bound, in integers
-            num, den = bound.numerator * scale, bound.denominator
-            violations += [(i, D) for D, count in zip(sets, counts) if count * den < num]
-    cap = max(max_violations, 0)
-    return GoodnessReport(
-        not violations, violations[:cap], min(ratios, default=None), len(violations) > cap
-    )
-
-
 def check_good(
     H: Hypergraph,
     P: Partition,
@@ -314,37 +294,29 @@ def check_good(
     it is an invalid query.
     """
     delta = Fraction(delta)
+    if not 0 <= delta <= 1:
+        raise InvalidQueryError(f"delta = {delta} must lie in [0, 1]")
     if P.vertex_set() != frozenset(range(H.n)):
         raise InvalidQueryError("partition must cover exactly the host's vertex set")
     if () in P.blocks:
         raise InvalidQueryError(f"block {P.blocks.index(())} is empty, got sizes {P.sizes()}")
     if sizes is not None and tuple(sizes) != P.sizes():
         return GoodnessReport(False, [], None)
-    blocks = ((i, len(b), _hood_degrees(H, P.blocks, i, b)) for i, b in enumerate(P.blocks))
-    return _scan(blocks, delta, max_violations)
-
-
-def check_good_factor(
-    H: Hypergraph,
-    P: Partition,
-    d: int,
-    mu,
-    max_violations: int = 50,
-) -> GoodnessReport:
-    """Exact check of (n, d, mu)-goodness: per block, delta_d(H[V_i]) >=
-    mu * C(n_i, k-d).  The report lists violating (i, D), D a d-set of V_i,
-    up to a cap; a block with C(n_i, k-d) = 0 is skipped, and one with
-    fewer than d vertices has ratio 0, reported as (i, ())."""
-    if not 1 <= d <= H.k - 1:
-        raise InvalidQueryError(f"d = {d} must satisfy 1 <= d <= k-1 = {H.k - 1}")
-    if any(v < 0 or v >= H.n for v in P.vertex_set()):
-        raise InvalidQueryError("partition blocks must be subsets of the vertex set")
-    blocks = (
-        (i, scale, _degrees(H, block, d, block) if len(block) >= d else ([()], [0]))
-        for i, block in enumerate(P.blocks)
-        if (scale := math.comb(len(block), H.k - d))
+    violations: List[Tuple[int, Tuple[int, ...]]] = []
+    ratios: List[Fraction] = []
+    for i, block in enumerate(P.blocks):
+        sets, counts = _hood_degrees(H, P.blocks, i, block)
+        if not counts:
+            continue
+        ratios.append(Fraction(min(counts), len(block)))
+        if ratios[-1] < delta:  # only then does some U violate at this block
+            # count / |V_i| < delta, in integers
+            num, den = delta.numerator * len(block), delta.denominator
+            violations += [(i, U) for U, count in zip(sets, counts) if count * den < num]
+    cap = max(max_violations, 0)
+    return GoodnessReport(
+        not violations, violations[:cap], min(ratios, default=None), len(violations) > cap
     )
-    return _scan(blocks, Fraction(mu), max_violations)
 
 
 # -- hypergeometric bound ------------------------------------------------
@@ -393,7 +365,10 @@ class GoodProbabilityEstimate:
 
 
 def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
-    """The 95% Wilson score interval of successes / trials."""
+    """The 95% Wilson score interval of successes / trials.
+
+    At 0 successes the lower end is exactly 0, which rounding would leave
+    slightly positive."""
     z = 1.959963984540054
     if trials == 0:
         return (0.0, 1.0)
@@ -401,7 +376,7 @@ def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
     denom = 1 + z ** 2 / trials
     centre = phat + z ** 2 / (2 * trials)
     spread = z * math.sqrt(phat * (1 - phat) / trials + z ** 2 / (4 * trials ** 2))
-    return ((centre - spread) / denom, (centre + spread) / denom)
+    return (0.0 if successes == 0 else (centre - spread) / denom, (centre + spread) / denom)
 
 
 def estimate_good_probability(

@@ -278,6 +278,17 @@ class TestExitCodes:
         assert main(["verify", "--input", str(k6), "--structure", str(struct)]) == 2
         assert capsys.readouterr().err.startswith("error: block 1 is empty")
 
+    @pytest.mark.parametrize("delta", ["-1", "3/2"])
+    def test_partition_delta_outside_zero_one_is_2(self, tmp_path, capsys, delta):
+        # the edgeless host makes every partition good at a negative delta
+        h = tmp_path / "e6.txt"
+        h.write_text("6 3\n")
+        struct = tmp_path / "s.json"
+        struct.write_text(json.dumps(
+            {"type": "partition", "blocks": [[0, 1, 2], [3, 4, 5]], "delta": delta}))
+        assert main(["verify", "--input", str(h), "--structure", str(struct)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: delta = {delta} must lie in [0, 1]")
+
     def test_zero_trials_is_2(self, host):
         assert main(["stitch", "--input", host, "--ell", "2", "--m", "2", "--delta", "1/2",
                      "--gamma", "1/10", "--trials", "0"]) == 2

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,8 @@ from spancount import (
     stitch_factor,
     verify_decomposition,
 )
-from spancount.factors import _canonical_copies
+from spancount import paths
+from spancount.factors import _canonical_copies, _factors
 from spancount.hypergraphs import Hypergraph, vertex_mask
 
 
@@ -208,6 +210,42 @@ class TestFactorCensus:
         want, first = reference_census(H, spec)
         assert count == want
         assert (None if dec is None else dec.copies) == first
+
+
+def nodes_spent(f, *args):
+    """What f(*args) returns and the budget nodes it spends, unbudgeted."""
+    spent = []
+    spend = paths._Budget.spend
+
+    def spy(self):
+        spent.append(None)
+        spend(self)
+
+    with mock.patch.object(paths._Budget, "spend", spy):
+        return f(*args, None), len(spent)
+
+
+class TestBudgetedViews:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_budgets_bound_census_and_first_factor_exactly(self, data):
+        # find_f_factor stops spending at its first factor, factor_census at
+        # the end of the search: each succeeds on exactly the nodes it spends
+        k = data.draw(st.integers(1, 3))
+        spec = data.draw(patterns(k))
+        n = spec.t * data.draw(st.integers(1, 9 // spec.t))
+        H = gen_random(n, k, data.draw(st.sampled_from([0.3, 0.6, 0.9, 1.0])),
+                       seed=data.draw(st.integers(0, 10 ** 6)))
+        spent = {}
+        for f in (factor_census, find_f_factor):
+            result, spent[f] = nodes_spent(f, H, spec)
+            assert f(H, spec, spent[f]) == result
+            if spent[f]:
+                with pytest.raises(BudgetExceededError):
+                    f(H, spec, spent[f] - 1)
+        # the search spends these nodes up to its first factor, or to its end
+        first = nodes_spent(lambda budget: next(_factors(H, spec, budget), None))[1]
+        assert spent[find_f_factor] == first <= spent[factor_census]
 
 
 class TestVerifyDecomposition:

@@ -16,7 +16,6 @@ from spancount import (
     InvalidQueryError,
     Partition,
     check_good,
-    check_good_factor,
     complete,
     dirac_threshold,
     empty,
@@ -111,31 +110,9 @@ class TestDegrees:
             S = data.draw(st.sets(st.sampled_from(sorted(rest))))
             assert H.degree(U, S) == brute_degree(H, U, S)
 
-    def test_min_codegree_complete(self):
-        # every (k-1)-set extends to all n-(k-1) other vertices
-        assert complete(7, 3).min_d_degree(2) == 5
-        assert complete(6, 2).min_d_degree(1) == 5
-
-    @settings(max_examples=40, deadline=None)
-    @given(random_hosts())
-    def test_min_d_degree_brute(self, H):
-        for d in range(1, H.k):
-            ref = min(
-                sum(1 for e in H.edges if set(D) <= set(e))
-                for D in itertools.combinations(range(H.n), d)
-            )
-            assert H.min_d_degree(d) == ref
-
     def test_degree_queries_never_walk_the_edge_set(self):
         hosts = [gen_random(9, k, 0.7, seed=k) for k in range(2, 6)]
-
-        def least(H, d, inside):
-            return min(brute_degree(H, D, set(inside) - set(D))
-                       for D in itertools.combinations(inside, d))
-
-        want = [([brute_degree(H, range(u), range(u, 9)) for u in range(H.k)],
-                 [(least(H, d, range(9)), least(H, d, range(1, 9))) for d in range(1, H.k)])
-                for H in hosts]
+        want = [[brute_degree(H, range(u), range(u, 9)) for u in range(H.k)] for H in hosts]
 
         def walked(self):
             raise AssertionError("a degree query walked the edge set")
@@ -143,22 +120,11 @@ class TestDegrees:
         spec = GoodnessSpec(Fraction(1, 2), Fraction(1, 10))
         P = Partition((tuple(range(0, 9, 2)), tuple(range(1, 9, 2))))
         with mock.patch.object(Hypergraph, "edges", property(walked)):
-            for H, (degrees, minima) in zip(hosts, want):
+            for H, degrees in zip(hosts, want):
                 assert [H.degree(range(u), range(u, 9)) for u in range(H.k)] == degrees
-                assert [(H.min_d_degree(d), H.min_d_degree(d, within=range(1, 9)))
-                        for d in range(1, H.k)] == minima
-                for d in range(1, H.k):
-                    assert check_good_factor(H, P, d, Fraction(1, 2)).min_ratio is not None
                 assert check_good(H, P, Fraction(1, 2)).min_ratio is not None
                 part, _ = random_bisection(H, size_vector(9, 2, 1, H.k), spec, seed=1)
                 assert part.vertex_set() == frozenset(range(9))
-
-    def test_min_d_degree_within_must_hold_d_host_vertices(self):
-        H = complete(6, 3)
-        with pytest.raises(InvalidQueryError):
-            H.min_d_degree(1, within=[0, 6])
-        with pytest.raises(InvalidQueryError):
-            H.min_d_degree(2, within=[0])
 
 
 class TestSerialization:

@@ -19,7 +19,6 @@ from spancount import (
     SizeVector,
     block_size_tree,
     check_good,
-    check_good_factor,
     complete,
     degree_meets_threshold,
     derive_seed,
@@ -237,70 +236,15 @@ class TestGoodness:
         with pytest.raises(InvalidQueryError, match=f"block {blocks.index(())} is empty"):
             check_good(complete(6, 3), Partition(blocks), Fraction(1, 2))
 
+    @pytest.mark.parametrize("delta", [Fraction(-1), Fraction(3, 2)])
+    def test_delta_outside_zero_one_is_an_invalid_query(self, delta):
+        with pytest.raises(InvalidQueryError, match=r"must lie in \[0, 1\]"):
+            check_good(empty(6, 3), Partition(((0, 1, 2), (3, 4, 5))), delta)
+
     def test_size_mismatch_fails_p1(self):
         H = complete(12, 2)
         P = Partition(((0, 1, 2, 3), tuple(range(4, 12))))
         assert not check_good(H, P, Fraction(1, 2), sizes=(6, 6)).good
-
-    def test_factor_goodness_complete(self):
-        H = complete(12, 3)
-        P = Partition(((0, 1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11)))
-        # complete block K_6: vertex degree C(5,2) over C(6,2) gives 2/3
-        report = check_good_factor(H, P, 1, Fraction(1, 2))
-        assert report.good and report.min_ratio == Fraction(2, 3)
-
-
-class TestFactorGoodness:
-    """check_good_factor and min_d_degree(d, within) against per-block brute force."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_matches_brute_force_block_minimum(self, data):
-        k = data.draw(st.integers(2, 5))
-        n = data.draw(st.integers(k, 9))
-        H = gen_random(n, k, data.draw(st.sampled_from([0.3, 0.7, 1.0])),
-                       seed=data.draw(st.integers(0, 10 ** 6)))
-        order = data.draw(st.permutations(range(n)))
-        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=3)))
-        P = Partition(tuple(tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])))
-        d = data.draw(st.integers(1, k - 1))
-        mu = data.draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)]))
-        cap = data.draw(st.sampled_from([1, 3, 50]))
-        violations, ratios, truncated = [], [], False
-        for i, block in enumerate(P.blocks):
-            inside = [e for e in H.edges if set(e) <= set(block)]
-            # each d-set of the block, in lexicographic order, with its degree
-            degrees = [(D, sum(1 for e in inside if set(D) <= set(e)))
-                       for D in combinations(sorted(block), d)]
-            if degrees:
-                assert H.min_d_degree(d, within=block) == min(c for _, c in degrees)
-            denom = math.comb(len(block), k - d)
-            if denom:
-                # a block too small to hold a d-set has ratio 0
-                degrees = degrees or [((), 0)]
-                ratios.append(Fraction(min(c for _, c in degrees), denom))
-                for D, c in degrees:
-                    if Fraction(c, denom) < mu:
-                        if len(violations) < cap:
-                            violations.append((i, D))
-                        else:
-                            truncated = True
-        report = check_good_factor(H, P, d, mu, max_violations=cap)
-        assert report == GoodnessReport(
-            not violations and not truncated, violations, min(ratios, default=None), truncated
-        )
-
-    def test_cap_zero_still_fails_a_bad_partition(self):
-        P = Partition(((0, 1, 2), (3, 4, 5)))
-        report = check_good_factor(empty(6, 3), P, 1, Fraction(1, 2), max_violations=0)
-        assert (report.good, report.violations, report.truncated) == (False, [], True)
-        assert report.min_ratio == 0
-
-    def test_cap_truncates_the_violation_list(self):
-        # both blocks of the edgeless host violate at every vertex
-        P = Partition(((0, 1, 2), (3, 4, 5)))
-        report = check_good_factor(empty(6, 3), P, 1, Fraction(1, 2), max_violations=1)
-        assert (report.good, report.violations, report.truncated) == (False, [(0, (0,))], True)
 
 
 def _reference_degrees(H, blocks, i, block):
@@ -347,7 +291,7 @@ class TestDegreeKernel:
     """Events and goodness reports against references built from H.degree."""
 
     @settings(max_examples=120, deadline=None)
-    @given(_bisection_cases(), st.integers(0, 99), st.sampled_from([1, 3, 50]))
+    @given(_bisection_cases(), st.integers(0, 99), st.sampled_from([0, 1, 3, 50]))
     @example((gen_random(48, 2, 0.5, 0), size_vector(48, 6, 1, 2),
               GoodnessSpec(Fraction(9, 10), Fraction(1, 10))), 0, 1)
     @example((gen_random(48, 2, 0.97, 2), size_vector(48, 12, 1, 2),
@@ -411,6 +355,14 @@ class TestEstimation:
         low, high = wilson_interval(8, 10)
         assert low == pytest.approx(0.4901, abs=1e-3)
         assert high == pytest.approx(0.9433, abs=1e-3)
+
+    @pytest.mark.parametrize("trials, high", [
+        (1, 0.7934506856227626), (3, 0.5614970317550455), (6, 0.39033428790216534),
+        (100, 0.03699349820698568),
+    ])
+    def test_wilson_no_successes_has_lower_end_zero(self, trials, high):
+        # rounding once left a positive lower end; the upper end keeps its bytes
+        assert wilson_interval(0, trials) == (0.0, high)
 
     def test_wilson_contains_phat(self):
         for s, t in [(0, 10), (5, 10), (10, 10)]:
