@@ -26,7 +26,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from .errors import DivisibilityError, InvalidQueryError
 from .hypergraphs import Hypergraph, complete, vertex_mask
 from .partition import Partition
-from .paths import _Budget, _ordered_search, _pinned, enumerate_hamilton_ell_cycles
+from .paths import _Budget, _ordered_search, _pinned, _plan, enumerate_hamilton_ell_cycles
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,15 @@ class FactorDecomposition:
         return [frozenset(c) for c in self.copies]
 
 
+def _check_uniformity(H: Hypergraph, spec: FactorSpec) -> None:
+    if spec.F.k != H.k:
+        raise InvalidQueryError(f"pattern uniformity {spec.F.k} != host uniformity {H.k}")
+
+
 def verify_decomposition(H: Hypergraph, spec: FactorSpec, dec: FactorDecomposition) -> bool:
-    """Independent check: disjointness, coverage, edge preservation."""
+    """Independent check: disjointness, coverage, edge preservation; a
+    pattern of another uniformity than H's raises."""
+    _check_uniformity(H, spec)
     covered: set = set()
     for copy in dec.copies:
         if len(copy) != spec.t or len(set(copy)) != spec.t:
@@ -82,21 +89,21 @@ def _canonical_copies(
     H: Hypergraph, spec: FactorSpec, available: int, anchor: int
 ) -> List[Tuple[Tuple[int, ...], int]]:
     """Distinct copies of F that contain `anchor` and otherwise lie in the
-    mask `available`.
+    mask `available`, whose vertices all lie above the anchor.
 
     Returns (least injection, vertex mask) pairs, one per distinct
     (vertex set, edge image); sorted for determinism.  The injections
     come from the ordered-window search with F's edges as the window
-    layout and the anchor pinned at each vertex of F in turn; finding
-    them spends no budget.  The search's class cut skips the injections
-    that permute vertices of F lying in exactly the same edges, none of
-    which is the least of its copy.
+    layout; finding them spends no budget.  The least injection onto a
+    copy fills each window class of F in ascending order, so it puts the
+    anchor, the copy's least vertex, first in its class: the anchor is
+    pinned there only, and the class cut skips the injections that
+    permute a class.  F's other automorphisms are left to the dedupe.
     """
     edges = tuple(sorted(spec.F.edges))
     least: Dict[Tuple[int, frozenset], Tuple[int, ...]] = {}
-    for i in range(spec.t):
-        allowed = _pinned(spec.t, available, i, anchor)
-        for injection in _ordered_search(H, edges, allowed, None):
+    for i in (p for p, mate in enumerate(_plan(edges, spec.t)[1]) if mate < 0):
+        for injection in _ordered_search(H, edges, _pinned(spec.t, available, i, anchor), None):
             image = frozenset(tuple(sorted(injection[v] for v in e)) for e in edges)
             key = (vertex_mask(injection), image)
             if key not in least or injection < least[key]:
@@ -114,8 +121,7 @@ def _factors(
     cover = vertex_mask(range(H.n) if within is None else within)
     if (size := cover.bit_count()) % spec.t != 0:
         raise DivisibilityError(f"|F| = {spec.t} must divide the {size} vertices to cover")
-    if spec.F.k != H.k:
-        raise InvalidQueryError(f"pattern uniformity {spec.F.k} != host uniformity {H.k}")
+    _check_uniformity(H, spec)
     counter = _Budget(budget)
     # every uncovered vertex is at least the anchor, the lowest uncovered
     # bit, so a node's copies are its anchor's copies on the cover from the

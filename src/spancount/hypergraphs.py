@@ -3,9 +3,9 @@
 Vertices are dense integers 0..n-1 and edges are sorted k-tuples.  A
 hypergraph is immutable after construction.  Its codegree index maps
 each sorted (k-1)-tuple U to one int bitmask whose bit v is set iff
-U + {v} is an edge.  Every degree count, for any |U| < k, comes from
-one kernel over these masks, `_degrees`; the searches cut their
-candidates down with `&`.
+U + {v} is an edge.  The only degree is the codegree, |U| = k-1, and
+every count of it comes from one kernel over these masks, `_degrees`;
+the searches cut their candidates down with `&`.
 
 Every host stores only these masks: `Hypergraph(n, k, edges)` and
 `from_edge_list` hand the edges' columns to one validator that builds
@@ -137,26 +137,17 @@ class Hypergraph:
         v completing it: bit v is set iff U + {v} is an edge."""
         return self._conbr
 
-    def codegree_set(self, U: Iterable[int]) -> set:
-        """Vertices v such that U + {v} is an edge; U must have k-1 vertices.
-
-        The set is a fresh copy: changing it leaves the index alone."""
-        u = tuple(sorted(U))
-        if len(u) != self.k - 1:
-            raise InvalidQueryError(f"codegree set needs |U| = {self.k - 1}, got {len(u)}")
-        return set(mask_vertices(self._codegree_neighbours().get(u, 0)))
-
     def degree(self, U: Iterable[int], S: Iterable[int]) -> int:
-        """d(U, S), |U| < k: edges containing U whose other vertices lie in S, from `_degrees`."""
-        u = frozenset(U)
-        s = frozenset(S)
-        if len(u) >= self.k:
-            raise InvalidQueryError(f"|U| = {len(u)} must be at most k-1 = {self.k - 1}")
+        """The codegree d(U, S), |U| = k-1: the vertices v of S with U + {v}
+        an edge, from `_degrees`."""
+        u, s = frozenset(U), frozenset(S)
+        if len(u) != self.k - 1:
+            raise InvalidQueryError(f"codegree needs |U| = k-1 = {self.k - 1}, got {len(u)}")
         if u & s:
             raise InvalidQueryError(f"U and S must be disjoint, share {sorted(u & s)}")
         if any(v < 0 or v >= self.n for v in u | s):
             raise InvalidQueryError("U and S must be subsets of the vertex set")
-        return _degrees(self, u, len(u), s)[1][0]
+        return _degrees(self, u, s)[1][0]
 
     # -- serialization ---------------------------------------------------
 
@@ -338,25 +329,16 @@ def _indicator_masks(cols, n: int) -> Dict[Edge, int]:
 
 
 def _degrees(
-    H: Hypergraph, pool: Iterable[int], d: int, target: Collection[int]
+    H: Hypergraph, pool: Iterable[int], target: Collection[int]
 ) -> Tuple[List[Edge], List[int]]:
-    """The degree kernel: the d-subsets D of `pool`, d < k, in lexicographic
-    order, and the list of their degrees d(D, target - D).
-
-    At d = k-1 it is one `&` of D's mask with the target's and a popcount
-    (a mask never holds its key's vertices).  Below k-1 it sums
-    |mask(D + T) & target| over the (k-1-d)-subsets T of target - D and
-    divides by k-d: an edge counts once for each of its k-d keys holding D."""
+    """The codegree kernel: the (k-1)-subsets U of `pool` in lexicographic
+    order, and the list of their degrees d(U, target - U), each one `&` of
+    U's mask with the target's and a popcount (a mask never holds its
+    key's vertices)."""
     get = H._codegree_neighbours().get
     tmask = vertex_mask(target)
-    subsets = list(itertools.combinations(sorted(pool), d))
-    if d == H.k - 1:
-        return subsets, [(get(D, 0) & tmask).bit_count() for D in subsets]
-    counts = []
-    for D in subsets:
-        rest = itertools.combinations(sorted(set(target).difference(D)), H.k - 1 - d)
-        counts.append(sum((get(tuple(sorted(D + T)), 0) & tmask).bit_count() for T in rest))
-    return subsets, [c // (H.k - d) for c in counts]
+    subsets = list(itertools.combinations(sorted(pool), H.k - 1))
+    return subsets, [(get(U, 0) & tmask).bit_count() for U in subsets]
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:

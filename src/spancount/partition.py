@@ -10,7 +10,7 @@ exact integer arithmetic, into the least integer degree that meets
 it, so marginal events never flip on rounding.
 
 The degree events and the one goodness check, `check_good`, count
-degrees with one kernel, `hypergraphs._degrees`, over the codegree masks.
+codegrees with one kernel, `hypergraphs._degrees`, over the codegree masks.
 
 At desk scale the thresholds frequently clamp to zero (events
 vacuously true); each event records whether that happened so
@@ -191,7 +191,7 @@ def _least_degree(spec: GoodnessSpec, m: int, exponent_den: int) -> int:
 def _hood_degrees(H: Hypergraph, blocks: Sequence[Tuple[int, ...]], j: int, block):
     """The degree kernel into `block` over blocks j-1, j and j+1, cyclically."""
     hood = {*blocks[j - 1], *blocks[j], *blocks[(j + 1) % len(blocks)]}
-    return _degrees(H, hood, H.k - 1, block)
+    return _degrees(H, hood, block)
 
 
 def _event(
@@ -367,8 +367,8 @@ class GoodProbabilityEstimate:
 def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
     """The 95% Wilson score interval of successes / trials.
 
-    At 0 successes the lower end is exactly 0, which rounding would leave
-    slightly positive."""
+    At 0 successes the lower end is exactly 0, and at `trials` successes
+    the upper end exactly 1, which rounding would leave slightly off."""
     z = 1.959963984540054
     if trials == 0:
         return (0.0, 1.0)
@@ -376,7 +376,8 @@ def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
     denom = 1 + z ** 2 / trials
     centre = phat + z ** 2 / (2 * trials)
     spread = z * math.sqrt(phat * (1 - phat) / trials + z ** 2 / (4 * trials ** 2))
-    return (0.0 if successes == 0 else (centre - spread) / denom, (centre + spread) / denom)
+    lower = 0.0 if successes == 0 else (centre - spread) / denom
+    return lower, 1.0 if successes == trials else (centre + spread) / denom
 
 
 def estimate_good_probability(

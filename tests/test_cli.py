@@ -268,6 +268,23 @@ class TestExitCodes:
         struct.write_text(json.dumps(structure))
         assert main(["verify", "--input", str(k6), "--structure", str(struct)]) == 2
 
+    def test_decomposition_pattern_of_another_uniformity_is_2(self, tmp_path, capsys):
+        # verify rejects the pattern as factors --pattern does, with the same message
+        k6 = tmp_path / "k6.txt"
+        assert main(["generate", "--family", "complete", "--n", "6", "--k", "3",
+                     "--out", str(k6)]) == 0
+        pattern = tmp_path / "p.txt"
+        pattern.write_text("3 2\n0 1\n")
+        capsys.readouterr()
+        assert main(["factors", "--input", str(k6), "--pattern", str(pattern)]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith("error: pattern uniformity 2 != host uniformity 3")
+        struct = tmp_path / "s.json"
+        struct.write_text(json.dumps(
+            {"type": "decomposition", "copies": [[0, 1, 2]], "pattern": "3 2\n0 1\n"}))
+        assert main(["verify", "--input", str(k6), "--structure", str(struct)]) == 2
+        assert capsys.readouterr().err == message
+
     def test_partition_with_an_empty_block_is_2(self, tmp_path, capsys):
         k6 = tmp_path / "k6.txt"
         assert main(["generate", "--family", "complete", "--n", "6", "--k", "3",

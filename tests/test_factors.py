@@ -191,10 +191,27 @@ class TestCanonicalCopies:
                        seed=data.draw(st.integers(0, 10 ** 6)))
         available = sorted(data.draw(st.sets(st.integers(0, n - 1))))
         for anchor in range(n):
-            for pool in (available, range(anchor, n)):
+            # the anchor is the least vertex of each copy, as in the factor search
+            for pool in ([v for v in available if v > anchor], range(anchor, n)):
                 assert _canonical_copies(H, spec, vertex_mask(pool), anchor) == reference_copies(
                     H, spec, pool, anchor
                 )
+
+    @pytest.mark.parametrize("spec, searches", [
+        (single_edge_spec(4), 1),
+        (FactorSpec(Hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)])), 3),
+    ], ids=["single-edge-k4", "two-triples"])
+    def test_one_search_per_window_class(self, spec, searches):
+        # the anchor is pinned only at the first vertex of each window class
+        # of F: the single edge is one class, {0, 1}, {2}, {3} are three
+        H = gen_random(9, spec.F.k, 0.7, seed=4)
+        spy = mock.Mock(wraps=paths._ordered_search)
+        with mock.patch("spancount.factors._ordered_search", spy):
+            for anchor in range(9):
+                spy.reset_mock()
+                found = _canonical_copies(H, spec, vertex_mask(range(anchor, 9)), anchor)
+                assert spy.call_count == searches
+                assert found == reference_copies(H, spec, range(anchor, 9), anchor)
 
 
 class TestFactorCensus:
@@ -249,6 +266,11 @@ class TestBudgetedViews:
 
 
 class TestVerifyDecomposition:
+    def test_pattern_of_another_uniformity_raises(self):
+        dec = FactorDecomposition(((0, 1, 2),))
+        with pytest.raises(InvalidQueryError, match="pattern uniformity 2 != host uniformity 3"):
+            verify_decomposition(complete(3, 3), single_edge_spec(2), dec)
+
     def test_rejects_overlap(self):
         H = complete(4, 2)
         dec = FactorDecomposition(((0, 1), (1, 2)))

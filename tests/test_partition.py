@@ -364,6 +364,11 @@ class TestEstimation:
         # rounding once left a positive lower end; the upper end keeps its bytes
         assert wilson_interval(0, trials) == (0.0, high)
 
+    @pytest.mark.parametrize("trials", [1, 6, 10, 16, 1000])
+    def test_wilson_all_successes_has_upper_end_one(self, trials):
+        # rounding once left the upper end off 1, above it at 16 and 1000
+        assert wilson_interval(trials, trials)[1] == 1.0
+
     def test_wilson_contains_phat(self):
         for s, t in [(0, 10), (5, 10), (10, 10)]:
             low, high = wilson_interval(s, t)

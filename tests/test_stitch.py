@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,8 @@ from spancount import (
     validate_ell_cycle,
     validate_power_cycle,
 )
-from spancount.hypergraphs import Hypergraph
+from spancount.hypergraphs import Hypergraph, vertex_mask
+from spancount.paths import _Budget, _class_weight, _cycle_orders, _window_count, count_copies
 
 
 class TestIsRespecting:
@@ -306,6 +308,49 @@ class TestRespectingSearchIsExact:
         if cert is not None:
             C = cert.power_cycle()
             assert validate_power_cycle(H, C) and is_respecting(C, P)
+
+
+def _ordered_partitions(vertices, sizes):
+    """Every ordered partition of `vertices` into blocks of these sizes."""
+    if not sizes:
+        yield ()
+        return
+    for block in itertools.combinations(vertices, sizes[0]):
+        rest = [v for v in vertices if v not in block]
+        for tail in _ordered_partitions(rest, sizes[1:]):
+            yield (block,) + tail
+
+
+class TestDoubleCount:
+    """The paper's double count: R_P, the cyclic orderings in which the
+    blocks of P fill consecutive arcs in order, V_1's from a phase s, and
+    every window is an edge, sums over the ordered partitions P of
+    0..n-1 with fixed block sizes to n * N_W * count(H)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_respecting_orderings_sum_to_n_copies_of_each_cycle(self, data):
+        layouts = [(EllCycle, k, ell) for k in range(2, 5) for ell in range(1, k)]
+        layouts += [(PowerCycle, 2, 3), (PowerCycle, 3, 4), (PowerCycle, 3, 5)]
+        kind, k, x = data.draw(st.sampled_from(layouts))
+        step = k - x if kind is EllCycle else 1
+        r = data.draw(st.integers(2, min(3, 8 // step)))
+        n = data.draw(st.sampled_from(
+            [m for m in range(max(k, x, r * step), 9) if m % step == 0]))
+        windows, phases = kind.layout(k, x, n)
+        H = gen_random(n, k, data.draw(st.sampled_from([0.6, 0.8, 0.9, 1.0])),
+                       seed=data.draw(st.integers(0, 10 ** 6)))
+        # r blocks whose sizes the phase count divides; one block would pin its
+        # least vertex and sum to N_W * count(H) only
+        cuts = sorted(data.draw(st.sets(st.sampled_from(range(phases, n, phases)),
+                                        min_size=r - 1, max_size=r - 1)))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+        total = 0
+        for P in _ordered_partitions(range(n), sizes):
+            orders = _cycle_orders(H, [vertex_mask(b) for b in P], windows, phases, _Budget(None))
+            total += sum(_class_weight(windows, allowed) * sum(1 for _ in found)
+                         for allowed, found in itertools.groupby(orders, operator.itemgetter(0)))
+        assert total == n * _window_count(windows, phases, None) * count_copies(H, windows, phases)
 
 
 class TestStitchPowerCycle:
