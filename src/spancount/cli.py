@@ -35,7 +35,7 @@ from .factors import (
     single_edge_spec,
     verify_decomposition,
 )
-from .hypergraphs import GoodnessSpec, Hypergraph, complete, gen_random
+from .hypergraphs import GoodnessSpec, Hypergraph, _run_text, _sample
 from .partition import (
     Partition,
     check_good,
@@ -153,12 +153,24 @@ def _fraction(text: str, option: str) -> Fraction:
 
 
 def cmd_generate(args) -> Dict:
-    planted = None
-    if args.family == "complete":
-        H = complete(args.n, args.k)
-    elif args.family == "binomial":
-        H = gen_random(args.n, args.k, float(_fraction(args.p, "--p")), args.seed)
-    elif args.family == "planted-cycle":
+    if args.family in ("complete", "binomial"):
+        # streamed: each prefix run is written as it is drawn and no host is
+        # built, so memory does not grow with the edge count
+        p = float(_fraction(args.p, "--p")) if args.family == "binomial" else None
+        runs = _sample(args.n, args.k, p, args.seed)  # checked before the file is made
+        names = list(map(str, range(args.n)))
+        edges = 0
+        with open(args.out, "x") as fh:
+            fh.write(f"{args.n} {args.k}\n")
+            for u, vs in runs:
+                if vs:
+                    fh.write(_run_text(u, map(names.__getitem__, vs)))
+                    edges += len(vs)
+        return {
+            "config": _config(args, "generate"),
+            "results": {"n": args.n, "k": args.k, "edges": edges, "path": args.out},
+        }
+    if args.family == "planted-cycle":
         _require(args.ell is not None, "planted-cycle needs --ell")
         cycle = EllCycle(tuple(range(args.n)), args.k, args.ell)
         H = Hypergraph(args.n, args.k, cycle.windows())
@@ -177,13 +189,11 @@ def cmd_generate(args) -> Dict:
         planted = {"type": "decomposition", "t": args.t, "copies": copies}
     with open(args.out, "x") as fh:
         fh.write(H.to_edge_list())
-    report = {
+    return {
         "config": _config(args, "generate"),
-        "results": {"n": H.n, "k": H.k, "edges": H.num_edges(), "path": args.out},
+        "results": {"n": H.n, "k": H.k, "edges": H.num_edges(), "path": args.out,
+                    "planted": planted},
     }
-    if planted is not None:
-        report["results"]["planted"] = planted
-    return report
 
 
 # -- partition -----------------------------------------------------------

@@ -12,6 +12,12 @@ Every host stores only these masks: `Hypergraph(n, k, edges)` and
 them, and the edge set, `num_edges`, `==`, `hash` and `to_edge_list`
 are read off them.
 
+Binomial and complete hosts are drawn by one sampler, `_sample`, one
+(k-1)-prefix run at a time in lexicographic order; `gen_random` builds
+its host from the runs, and `generate` writes them as they are drawn,
+formatted by `_run_text` as `to_edge_list` formats its runs, so the
+file needs no host and no masks.
+
 `from_edge_list` tokenizes text laid out exactly as `to_edge_list` (and
 so `generate`) writes it in newline-aligned chunks: a chunk whose lines
 are not k decimal entries joined by single spaces, or an entry outside
@@ -48,7 +54,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvalidQueryError
 
@@ -165,8 +171,7 @@ class Hypergraph:
             m = self._conbr[u] >> lo << lo
             if m:
                 bits = format(m, "b")[::-1].encode().translate(zero_one)
-                head = "".join(f"{x} " for x in u)
-                lines.append(head + f"\n{head}".join(itertools.compress(names, bits)) + "\n")
+                lines.append(_run_text(u, itertools.compress(names, bits)))
         return "".join(lines)
 
     @classmethod
@@ -400,12 +405,37 @@ def gen_random(n: int, k: int, p: float, seed: int) -> Hypergraph:
     """Binomial random k-graph: each k-subset kept with probability p.
 
     Deterministic given the seed; iteration order over k-subsets is
-    lexicographic, so equal seeds give identical edge sets.
+    lexicographic, so equal seeds give identical edge sets.  The draws
+    come from `_sample`, the sampler that `generate --family binomial`
+    streams to text, so both keep the same edges.
     """
-    if n < k:
-        raise InvalidQueryError(f"need n >= k, got n={n}, k={k}")
-    if not 0 <= p <= 1:
-        raise InvalidQueryError(f"probability p={p} out of [0, 1]")
-    rng = random.Random(seed)
-    edges = [e for e in itertools.combinations(range(n), k) if rng.random() < p]
-    return Hypergraph(n, k, edges)
+    return Hypergraph(n, k, (u + (v,) for u, vs in _sample(n, k, p, seed) for v in vs))
+
+
+def _sample(n: int, k: int, p: Optional[float], seed: int) -> Iterator[Tuple[Edge, Sequence[int]]]:
+    """The edges of a binomial (p a probability) or complete (p None)
+    k-graph, one run per (k-1)-prefix u in lexicographic order: the
+    kept v > u[-1], ascending, so the edges u + (v,) come in
+    lexicographic order.  Each candidate v of a binomial host is kept on
+    one draw `rng.random() < p` of `random.Random(seed)`, in that order,
+    which is the order of `combinations(range(n), k)`.
+
+    The arguments are checked at the call, before any draw."""
+    if p is not None:
+        if n < k:
+            raise InvalidQueryError(f"need n >= k, got n={n}, k={k}")
+        if not 0 <= p <= 1:
+            raise InvalidQueryError(f"probability p={p} out of [0, 1]")
+    Hypergraph(n, k)  # k >= 1 and n >= 0
+    runs = ((u, range(u[-1] + 1 if u else 0, n)) for u in itertools.combinations(range(n), k - 1))
+    if p is None:
+        return runs
+    draw = random.Random(seed).random
+    return ((u, [v for v in vs if draw() < p]) for u, vs in runs)
+
+
+def _run_text(u: Edge, names: Iterable[str]) -> str:
+    """The canonical edge lines u + (v,), one per name of v given in
+    ascending order; `to_edge_list` and `generate` write every run so."""
+    head = "%d " * len(u) % u
+    return head + f"\n{head}".join(names) + "\n"

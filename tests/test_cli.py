@@ -1,16 +1,22 @@
 """Command-line interface: determinism, formats, and exit codes."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spancount import (
     EllCycle,
@@ -18,6 +24,7 @@ from spancount import (
     Hypergraph,
     complete,
     derive_seed,
+    gen_random,
     random_bisection,
     size_vector,
 )
@@ -37,6 +44,15 @@ def host(tmp_path):
     return str(path)
 
 
+def _generated(family, *argv):
+    """The file that `generate --family family` writes, and its report's edge count."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as report:
+        out = Path(tmp) / "g.txt"
+        assert main(["generate", "--family", family, *argv, "--out", str(out)]) == 0
+        text = out.read_text()
+    return text, json.loads(report.getvalue())["results"]["edges"]
+
+
 class TestGenerate:
     def test_deterministic_files(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -52,6 +68,63 @@ class TestGenerate:
                      "--p", "1/2", "--seed", "1", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "eb8f4204dc3776f98f7d5727890e5be4f5b55cfc2fe106a958bee31087f0116f")
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["binomial", "--n", "12", "--k", "4", "--p", "0.6", "--seed", "1"],
+         "422d38c45e6f0f5a5094f21a22722e0ea4d57db7395edb040234025cab26e726"),
+        (["binomial", "--n", "10", "--k", "2", "--p", "1/2", "--seed", "3"],
+         "7aaae63f33122c0f72e8008acdd73e8421e36d5b6a03ae8a165ba495911d978f"),
+        (["binomial", "--n", "7", "--k", "1", "--p", "1/2", "--seed", "2"],
+         "9e74eb28a5f779f061b21cdfae303861ccef38d4e6601ba048ae9a173fec5f4b"),
+        (["complete", "--n", "9", "--k", "4"],
+         "0df6e31f1810445a579725d973bfc9d6e100b9d16d03e6841db48c56e77644bb"),
+    ], ids=["n12k4", "n10k2", "n7k1", "complete-n9k4"])
+    def test_more_bytes_are_pinned(self, tmp_path, argv, digest):
+        # digests of files written by building the whole host and serializing it
+        out = tmp_path / "g.txt"
+        assert main(["generate", "--family", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 4), extra=st.integers(0, 6),
+           p=st.sampled_from(["0", "1/2", "0.97", "1"]), seed=st.integers(0, 2**32))
+    def test_streamed_binomial_is_the_built_host(self, k, extra, p, seed):
+        # the oracle builds the host from every k-subset drawn in lexicographic order
+        n = k + extra
+        rng = random.Random(seed)
+        expected = Hypergraph(
+            n, k, [e for e in combinations(range(n), k) if rng.random() < float(Fraction(p))]
+        ).to_edge_list()
+        text, edges = _generated("binomial", "--n", str(n), "--k", str(k), "--p", p,
+                                 "--seed", str(seed))
+        assert text == expected
+        assert gen_random(n, k, float(Fraction(p)), seed).to_edge_list() == expected
+        assert edges == Hypergraph.from_edge_list(text).num_edges()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 9), k=st.integers(1, 5))
+    def test_streamed_complete_is_the_built_host(self, n, k):
+        text, edges = _generated("complete", "--n", str(n), "--k", str(k))
+        assert text == complete(n, k).to_edge_list()
+        if n < k:
+            assert text == f"{n} {k}\n"
+        assert edges == math.comb(n, k)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["binomial", "--n", "5", "--k", "0"], "uniformity k=0 must be >= 1"),
+        (["binomial", "--n", "2", "--k", "3"], "need n >= k, got n=2, k=3"),
+        (["binomial", "--n", "-1", "--k", "1"], "need n >= k, got n=-1, k=1"),
+        (["binomial", "--n", "5", "--k", "2", "--p", "2"], "probability p=2.0 out of [0, 1]"),
+        (["binomial", "--n", "5", "--k", "2", "--p", "x"],
+         "--p must be a rational number, got 'x'"),
+        (["complete", "--n", "-1", "--k", "2"], "vertex count n=-1 must be >= 0"),
+    ], ids=["k-zero", "n-below-k", "n-minus-1", "p-above-1", "p-not-a-number",
+            "complete-n-minus-1"])
+    def test_bad_input_is_2_and_makes_no_file(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "g.txt"
+        assert main(["generate", "--family", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_never_overwrites(self, tmp_path, capsys):
         out = tmp_path / "h.txt"
