@@ -114,6 +114,9 @@ def classify_set(
             f"t_abs = {t} < 2*ell = {2 * ell}: an absorbing path's two ell-vertex ends "
             "would overlap"
         )
+    if t > H.n - (k - ell):
+        # an absorbing path avoids the k-ell vertices of S
+        return 0, False
     # The masks keep S off every position, so each path the outer search
     # finds is an ell-path of H disjoint from S.  Every ordering counts, and
     # which vertices are ends depends on it, so the outer search walks them

@@ -7,10 +7,10 @@ U + {v} is an edge.  The only degree is the codegree, |U| = k-1, and
 every count of it comes from one kernel over these masks, `_degrees`;
 the searches cut their candidates down with `&`.
 
-Every host stores only these masks: `Hypergraph(n, k, edges)` and
-`from_edge_list` hand the edges' columns to one validator that builds
-them, and the edge set, `num_edges`, `==`, `hash` and `to_edge_list`
-are read off them.
+Every host stores only these masks, and the edge set, `num_edges`,
+`==`, `hash` and `to_edge_list` are read off them.  `Hypergraph(n, k,
+edges)` hands the edges' columns to one validator, `_masks`, that builds
+them; so does `from_edge_list`, but for dense canonical text (below).
 
 Binomial and complete hosts are drawn by one sampler, `_sample`, one
 (k-1)-prefix run at a time in lexicographic order; `gen_random` builds
@@ -19,21 +19,32 @@ formatted by `_run_text` as `to_edge_list` formats its runs, so the
 file needs no host and no masks.
 
 `from_edge_list` tokenizes text laid out exactly as `to_edge_list` (and
-so `generate`) writes it in newline-aligned chunks: a chunk whose lines
-are not k decimal entries joined by single spaces, or an entry outside
-a table of the names of 0..n-1, sends the whole text to the
-line-by-line reader, whose messages name the fault.  The table is built
-only when the text holds at least n entries.
+so `generate`) writes it in newline-aligned chunks, `_chunk_columns`,
+which also looks each entry up in a table of the names of 0..n-1: a
+chunk whose lines are not k decimal entries joined by single spaces, or
+an entry no table names, sends the whole text to the line-by-line
+reader, whose messages name the fault.  The tables are built only when
+the text holds at least n entries.
 
-The masks come from one of two builders, picked by the input alone,
-with n one more than the largest vertex.  The edge indicator reads the
-masks off a transient n**k-byte table, k strided slices per mask, in
-one Python step for each of the C(n, k-1) (k-1)-sets; the per-edge
-builder sets each edge's k bits one at a time.  The indicator is taken
-when n**k is at most `_CELLS_PER_EDGE` (32) bytes per edge, so a sparse
-host or one with large n costs no n**k bytes, and the edges put at
-least `_EDGES_PER_SET` (16) bits on each (k-1)-set on average
-(k*|E| >= 16*C(n, k-1)), so its per-set step pays off.
+The masks come from one of two builders, picked by the input alone.
+The edge indicator reads the masks off a transient n**k-byte table, k
+strided slices per mask, in one Python step for each of the C(n, k-1)
+(k-1)-sets; the per-edge builder sets each edge's k bits one at a time.
+The indicator is taken when n**k is at most `_CELLS_PER_EDGE` (32) bytes
+per edge line, so a sparse host or one with large n costs no n**k
+bytes, and the edges put at least `_EDGES_PER_SET` (16) bits on each
+(k-1)-set on average (k*|E| >= 16*C(n, k-1)), so its per-set step pays
+off.  For columns, n is one more than the largest vertex; for canonical
+text it is the header's n, and |E| the line count, so the pick comes
+before any entry is read.
+
+Canonical text that picks the indicator never becomes columns: each
+chunk's entries at position i are looked up in a table that maps the
+name of v to v * n**(k-1-i), and each line's sum is the cell it sets.
+A line that is not strictly increasing sets a cell that no (k-1)-set
+reads, so the row check is one count: if the edges read are fewer than
+the cells set, the text is read again into columns, and `_masks` sorts
+the line or names its repeated vertex.
 
 A mask is as wide as its largest vertex, so on a dense host (the
 paper's setting) the masks are smaller than the edge set, but a sparse
@@ -61,19 +72,22 @@ from .errors import InvalidQueryError
 Edge = Tuple[int, ...]
 
 # Canonical text is tokenized in newline-aligned chunks of about this many
-# characters: loading n128k3 (331k lines) peaked at +14 MB, against +79 MB
-# with one token list for the whole text and +36 MB reading line by line.
-_CHUNK = 1 << 18
+# characters: streaming n96k3 (138k lines) into the indicator peaked at
+# +1.5 MB (tracemalloc), against +2.8 MB with 64K chunks at the same speed and
+# +9.7 MB for the entry and column lists that 256K chunks fed `_masks`.
+_CHUNK = 1 << 14
 
-# The edge indicator's n**k bytes stay within this many per edge line: the
-# per-edge builder was faster from about 40 cells per edge at k = 3 (n = 96,
-# 128) and 32 at k = 2; n128k3, n96k3 and n48k4 at p = 0.97 need 6.3, 6.4, 28.
+# The edge indicator's n**k bytes stay within this many per edge line.  Best
+# of 5 on canonical binomial text, the stream still beat the per-edge builder
+# at 41 cells per edge (n96k3 p 0.15: 18.5 against 20.3 ms) and lost at 49
+# (n400k2 p 0.04: 2.4 against 2.2 ms); at k = 4, 91 cells (n48k4 p 0.3) took
+# 74 against 78 ms.  n128k3, n96k3 and n48k4 at p = 0.97 need 6.3, 6.4, 28.
 _CELLS_PER_EDGE = 32
 
 # The indicator spends one Python step per (k-1)-set, the per-edge builder one
-# per edge bit: best of 5 on binomial hosts, they broke even at about 16 bits
-# per set (n18k3 p 0.9: 14.4 bits, 685 against 661 us; n20k3: 16.3 bits, 951
-# against 1,021 us), and the oracles hosts carry 5-10.
+# per edge bit: best of 5 on canonical binomial text, they broke even at about
+# 16 bits per set (n18k3 p 0.9: 14.4 bits, 771 against 704 us for the stream;
+# n20k3: 16.3 bits, 876 against 981 us), and the oracles hosts carry 5-10.
 _EDGES_PER_SET = 16
 
 
@@ -180,49 +194,65 @@ class Hypergraph:
 
         Each edge line is checked as `__init__` checks an edge; blank,
         unsorted and repeated lines are accepted and canonicalised."""
-        H, vals = cls._canonical_entries(text) or cls._entries_by_line(text)
-        # column i holds each line's i-th vertex
-        cols = [vals[i::H.k] for i in range(H.k)]
-        del vals  # freed before the masks are built, which lowers the load's peak
-        H._conbr = _masks(H.n, cols)
+        H = cls._from_canonical_text(text)
+        if H is None:
+            H, vals = cls._entries_by_line(text)
+            # column i holds each line's i-th vertex
+            cols = [vals[i::H.k] for i in range(H.k)]
+            del vals  # freed before the masks are built, which lowers the load's peak
+            H._conbr = _masks(H.n, cols)
         return H
 
     @classmethod
-    def _canonical_entries(cls, text: str) -> Optional[Tuple["Hypergraph", list]]:
-        """The edgeless host and the flat entry list of text exactly as
-        `to_edge_list` writes it: the header `n k`, then lines of k decimal
-        vertices below n joined by single spaces, each ended by a newline
-        but maybe the last.  None for any other text."""
-        head, _, body = text.partition("\n")
+    def _from_canonical_text(cls, text: str) -> Optional["Hypergraph"]:
+        """The host of text laid out exactly as `to_edge_list` writes it: the
+        header `n k`, then lines of k decimal vertices below n joined by
+        single spaces, each ended by a newline but maybe the last.  None for
+        any other text.
+
+        When n and the line count pick the edge indicator, each chunk's
+        cells go straight into it.  If the indicator then holds a cell that
+        no (k-1)-set reads, some line was not strictly increasing, and the
+        text is read again into columns for `_masks`, which sorts the line
+        or names its repeated vertex."""
+        end = text.find("\n")
+        if end < 0:
+            end = len(text)
+        head = text[:end]
         try:
             n, k = map(int, head.split(" "))
         except ValueError:
             return None
-        stop = len(body) - body.endswith("\n")
-        # the vertex table costs n entries, so the input must hold at least as many
-        if head != f"{n} {k}" or k < 1 or not 0 <= n <= k * (body.count("\n", 0, stop) + 1):
+        # the body, text[end + 1:stop], is read in place: a copy would cost its size
+        stop = len(text) - text.endswith("\n")
+        lines = text.count("\n", end + 1, stop) + 1
+        # a name table costs n entries and the layout k bytes, so the input
+        # must hold at least as many
+        if head != f"{n} {k}" or not 0 <= n <= k * lines or not 1 <= k <= stop - end:
             return None
-        table = {str(v): v for v in range(n)}
-        # what is left of a line without its digits: k-1 spaces, a newline
-        layout = b" " * (k - 1) + b"\n"
-        vals: list = []
-        start = 0
-        while start < stop:
-            end = body.find("\n", start + _CHUNK, stop)
-            if end < 0:
-                end = stop
-            chunk = body[start:end]
-            if not chunk.isascii():
-                return None
-            seps = chunk.encode().translate(None, b"0123456789") + b"\n"
-            if seps != layout * seps.count(b"\n"):
-                return None
-            try:
-                vals += map(table.__getitem__, chunk.replace("\n", " ").split(" "))
-            except KeyError:  # an empty entry, a leading zero, or n and above
-                return None
-            start = end + 1
-        return cls(n, k), vals
+        H = cls(n, k)
+        try:
+            if n**k <= _CELLS_PER_EDGE * lines and k * lines >= _EDGES_PER_SET * comb(n, k - 1):
+                # entry i of a line names v, weighted v * n**(k-1-i): the
+                # line's weights sum to its cell
+                weights = [n ** (k - 1 - i) for i in range(k)]
+                tables = [{str(v): v * w for v in range(n)} for w in weights]
+                S = bytearray(b"0") * n**k
+                for cols in _chunk_columns(text, end + 1, stop, tables):
+                    _write_cells(S, cols)
+                H._conbr = _indicator_masks(S, n, k)
+                # the masks read only the cells of strictly increasing lines
+                if H.num_edges() == S.count(b"1"):
+                    return H
+            names = {str(v): v for v in range(n)}
+            cols = [[] for _ in range(k)]
+            for part in _chunk_columns(text, end + 1, stop, [names] * k):
+                for col, entries in zip(cols, part):
+                    col += entries
+        except _NotCanonical:
+            return None
+        H._conbr = _masks(n, cols)
+        return H
 
     @classmethod
     def _entries_by_line(cls, text: str) -> Tuple["Hypergraph", list]:
@@ -252,6 +282,41 @@ class Hypergraph:
             raise
         except ValueError as exc:
             raise InvalidQueryError(f"edge list entries must be integers: {exc}") from None
+
+
+class _NotCanonical(Exception):
+    """Text not laid out exactly as `to_edge_list` writes it."""
+
+
+def _chunk_columns(
+    text: str, start: int, stop: int, tables: Sequence[Dict[str, int]]
+) -> Iterator[List[list]]:
+    """The k columns of each newline-aligned chunk of `text[start:stop]`, about
+    `_CHUNK` characters long, with column i's entries looked up in
+    `tables[i]`.  Raises `_NotCanonical` at the first chunk whose lines are
+    not k decimal entries joined by single spaces, or that holds an entry
+    no table names (an empty entry, a leading zero, or n and above)."""
+    k = len(tables)
+    # what is left of a line without its digits: k-1 spaces, a newline
+    layout = b" " * (k - 1) + b"\n"
+    while start < stop:
+        end = text.find("\n", start + _CHUNK, stop)
+        if end < 0:
+            end = stop
+        chunk = text[start:end]
+        start = end + 1
+        if not chunk.isascii():
+            raise _NotCanonical
+        seps = chunk.encode().translate(None, b"0123456789") + b"\n"
+        if seps != layout * seps.count(b"\n"):
+            raise _NotCanonical
+        tokens = chunk.replace("\n", " ").split(" ")
+        try:
+            cols = [list(map(t.__getitem__, tokens[i::k])) for i, t in enumerate(tables)]
+        except KeyError:
+            raise _NotCanonical from None
+        del chunk, tokens  # freed before the caller takes the columns
+        yield cols
 
 
 def _increasing(cols) -> bool:
@@ -287,7 +352,10 @@ def _masks(n: int, cols) -> Dict[Edge, int]:
         bad = next(e for e in zip(*cols) if e[0] < 0 or e[-1] >= n)
         raise InvalidQueryError(f"edge {bad} has vertices outside 0..{n - 1}")
     if top**k <= _CELLS_PER_EDGE * rows and k * rows >= _EDGES_PER_SET * comb(top, k - 1):
-        return _indicator_masks(cols, top)
+        S = bytearray(b"0") * top**k
+        weights = [top ** (k - 1 - i) for i in range(k)]
+        _write_cells(S, [map(operator.mul, c, itertools.repeat(w)) for c, w in zip(cols, weights)])
+        return _indicator_masks(S, top, k)
     return _edge_masks(cols)
 
 
@@ -302,18 +370,23 @@ def _edge_masks(cols) -> Dict[Edge, int]:
     return nbr
 
 
-def _indicator_masks(cols, n: int) -> Dict[Edge, int]:
-    """`_masks` from the edge indicator S over vertices 0..n-1, n one more
-    than the largest: byte e[0]*n**(k-1) + ... + e[k-1] of S is b"1" iff e
-    is an edge.  The mask of U reads U + {v} for all v at once, as one
-    strided slice of S for each gap of U that v can fall in, with b"0" at
-    U's own vertices; base 2 is exempt from int's digit limit."""
-    k = len(cols)
-    S = bytearray(b"0") * n**k
-    index = cols[0]
+def _write_cells(S: bytearray, cols) -> None:
+    """Set byte c of the edge indicator S to b"1" for the cell c of each
+    row of the columns, the sum of its entries: `v * n**(k-1-i)` for the
+    vertex v in column i."""
+    cells = cols[0]
     for col in cols[1:]:
-        index = map(operator.add, map(operator.mul, index, itertools.repeat(n)), col)
-    collections.deque(map(S.__setitem__, index, itertools.repeat(ord("1"))), maxlen=0)
+        cells = map(operator.add, cells, col)
+    collections.deque(map(S.__setitem__, cells, itertools.repeat(ord("1"))), maxlen=0)
+
+
+def _indicator_masks(S: bytearray, n: int, k: int) -> Dict[Edge, int]:
+    """The codegree masks of the edge indicator S over vertices 0..n-1:
+    byte e[0]*n**(k-1) + ... + e[k-1] of S is b"1" iff e is an edge.  The
+    mask of U reads U + {v} for all v at once, as one strided slice of S
+    for each gap of U that v can fall in, with b"0" at U's own vertices;
+    base 2 is exempt from int's digit limit.  Only the cells of strictly
+    increasing tuples are read."""
     # the weight of each position of a sorted edge
     weight = [n ** (k - 1 - i) for i in range(k)]
     # with v in gap j of U, u[i] has weight[i] below j and weight[i + 1] from it

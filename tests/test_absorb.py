@@ -141,6 +141,18 @@ class TestClassifySet:
         with pytest.raises(InvalidQueryError, match=r"vertices of the host, 0\.\.13"):
             classify_set(complete(14, 3), S, cfg, 1)
 
+    @pytest.mark.parametrize("t", [12, 100])
+    def test_no_search_when_no_path_can_avoid_S(self, t):
+        # t_abs vertices outside S need t_abs <= n - (k-ell) = 11: the answer
+        # comes before a search could spend the budget
+        cfg = AbsorberConfig(Fraction(1, 1000), t)
+        assert classify_set(gen_random(12, 3, 0.9, 1), (0,), cfg, 2, budget=1000) == (0, False)
+
+    def test_a_path_on_every_vertex_outside_S_still_counts(self):
+        H = complete(6, 3)
+        assert classify_set(H, (0,), AbsorberConfig(Fraction(1, 1000), 5), 2) == (perm(5, 5), True)
+        assert classify_set(H, (0,), AbsorberConfig(Fraction(1, 1000), 6), 2) == (0, False)
+
     def test_wrong_set_size(self):
         H = complete(8, 3)
         with pytest.raises(InvalidQueryError):

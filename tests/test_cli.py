@@ -713,6 +713,16 @@ class TestAbsorbCommand:
                      "--beta", beta, "--limit", "1"]) == 2
         assert "does not fit in a float" in capsys.readouterr().err
 
+    def test_paths_longer_than_the_vertices_outside_S_count_0(self, tmp_path, capsys):
+        hostfile = tmp_path / "h.txt"
+        assert main(["generate", "--family", "binomial", "--n", "12", "--k", "3",
+                     "--p", "0.9", "--seed", "1", "--out", str(hostfile)]) == 0
+        capsys.readouterr()
+        assert main(["absorb-classify", "--input", str(hostfile), "--ell", "2",
+                     "--t", "100"]) == 0
+        classified = json.loads(capsys.readouterr().out)["results"]["classified"]
+        assert [c["count"] for c in classified] == [0] * 12
+
     def test_threshold_at_the_float_limit(self):
         # 2^1023 is a float and 2^1024 is not: the bound is the value's, not its logarithm's
         assert cli._threshold(Fraction(1), 2, 1023) == 2.0 ** 1023

@@ -1,6 +1,7 @@
 """Degree queries, serialization, and generators against brute-force oracles."""
 
 import itertools
+import json
 import pickle
 import random
 import tracemalloc
@@ -27,6 +28,7 @@ from spancount import (
     stitch_power_cycle,
 )
 from spancount import hypergraphs
+from spancount.cli import main
 from spancount.hypergraphs import _edge_masks, _indicator_masks
 
 
@@ -130,10 +132,11 @@ class TestSerialization:
 
 
 @st.composite
-def canonical_and_perturbed(draw):
-    """(n, k, edges, canonical, perturbed): `canonical` is laid out exactly as
-    `to_edge_list` writes, with some lines repeated; `perturbed` is the same
-    host with tabs, blank lines, permuted vertices and a leading zero."""
+def canonical_faulty_and_perturbed(draw):
+    """(n, k, edges, canonical, faulty, perturbed): `canonical` is laid out
+    exactly as `to_edge_list` writes, with some lines repeated; `faulty` keeps
+    that layout but has one drawn fault; `perturbed` is the same host as
+    `canonical` with tabs, blank lines, permuted vertices and a leading zero."""
     k = draw(st.integers(1, 4))
     n = draw(st.integers(0, 12))
     p = draw(st.sampled_from([0, 0.1, 0.5, 0.9, 1]))
@@ -144,43 +147,99 @@ def canonical_and_perturbed(draw):
     lines = [f"{n}\t{k}", ""] + ["\t".join(map(str, rng.sample(e, k))) for e in rows]
     if rows:
         lines[2] = "0" + lines[2]
-    return n, k, edges, canonical, "\n".join(lines) + "\n"
+    fault = draw(st.sampled_from(["none", "reversed row", "repeated vertex", "leading zero",
+                                  "vertex n", "shuffled lines", "repeated lines"]))
+    bad = [list(map(str, e)) for e in rows] or [list(map(str, range(k)))]
+    i, j = rng.randrange(len(bad)), rng.randrange(k)
+    if fault == "reversed row":
+        bad[i].reverse()
+    elif fault == "repeated vertex":
+        bad[i][j] = bad[i][j - 1]
+    elif fault == "leading zero":
+        bad[i][j] = "0" + bad[i][j]
+    elif fault == "vertex n":
+        bad[i][j] = str(n + rng.randrange(3))
+    elif fault == "shuffled lines":
+        rng.shuffle(bad)
+    elif fault == "repeated lines":
+        bad += rng.sample(bad, min(len(bad), 3))
+    faulty = f"{n} {k}\n" + "".join(" ".join(row) + "\n" for row in bad)
+    return n, k, edges, canonical, faulty, "\n".join(lines) + "\n"
+
+
+def loaded(text):
+    """What `from_edge_list` makes of text: the host's n, k and masks, or
+    the message it raises."""
+    try:
+        H = Hypergraph.from_edge_list(text)
+    except InvalidQueryError as exc:
+        return str(exc)
+    return H.n, H.k, H._conbr
 
 
 class TestCanonicalText:
-    """Text as `to_edge_list` writes it takes a tokenizing fast path; any
-    other text is read line by line.  Both give the same host."""
+    """Text as `to_edge_list` writes it takes a tokenizing fast path, which
+    streams a dense host into the edge indicator; any other text is read
+    line by line.  Both give the same host, or the same message."""
 
     @settings(max_examples=200, deadline=None)
-    @given(canonical_and_perturbed())
+    @given(canonical_faulty_and_perturbed())
     def test_both_loader_paths_agree(self, case):
-        n, k, edges, canonical, perturbed = case
-        # the fast path builds a table of n vertex names only when the input
-        # holds at least n entries
-        rows = canonical.count("\n") - 1
-        entries = [int(v) for line in canonical.splitlines()[1:] for v in line.split()]
-        for chunk in (1, 7, hypergraphs._CHUNK):
-            # a chunk ends at the first newline `chunk` characters on
-            with mock.patch.object(hypergraphs, "_CHUNK", chunk):
-                parsed = Hypergraph._canonical_entries(canonical)
-            assert (parsed is None) == (n > k * max(rows, 1))
-            assert parsed is None or parsed[1] == entries
-        assert Hypergraph._canonical_entries(perturbed) is None
-        fast = Hypergraph.from_edge_list(canonical)
-        slow = Hypergraph.from_edge_list(perturbed)
+        n, k, edges, canonical, faulty, perturbed = case
         ref = Hypergraph(n, k, edges)
+        assert Hypergraph._from_canonical_text(perturbed) is None
+        slow = Hypergraph.from_edge_list(perturbed)
+        with mock.patch.object(Hypergraph, "_from_canonical_text", return_value=None):
+            assert loaded(canonical) == loaded(perturbed)
+            want = loaded(faulty)
+        # the fast path builds k tables of n vertex names only when the input
+        # holds at least n entries, and an edgeless text is read line by line;
+        # the thresholds patched down stream every other text into the indicator
+        rows = canonical.count("\n") - 1
+        stream = {"_CELLS_PER_EDGE": max(n, 1) ** k, "_EDGES_PER_SET": 0}
+        for thresholds in ({}, stream):
+            for chunk in (1, 7, hypergraphs._CHUNK):
+                # a chunk ends at the first newline `chunk` characters on
+                with mock.patch.multiple(hypergraphs, _CHUNK=chunk, **thresholds), \
+                        mock.patch.object(hypergraphs, "_indicator_masks",
+                                          wraps=hypergraphs._indicator_masks) as read:
+                    fast = Hypergraph._from_canonical_text(canonical)
+                    assert (fast is None) == (not rows or n > k * rows)
+                    assert fast is None or fast._conbr == ref._conbr
+                    if thresholds:
+                        assert read.called == (fast is not None)
+                    assert loaded(faulty) == want
+        fast = Hypergraph.from_edge_list(canonical)
         assert fast._conbr == slow._conbr == ref._codegree_neighbours()
         assert fast.edges == slow.edges == ref.edges
         assert fast.to_edge_list().encode() == slow.to_edge_list().encode()
         assert fast.to_edge_list() == ref.to_edge_list()
 
+    def test_generated_dense_text_streams_into_the_indicator(self, tmp_path, capsys):
+        out = tmp_path / "b.txt"
+        assert main(["generate", "--family", "binomial", "--n", "96", "--k", "3", "--p", "0.97",
+                     "--seed", "11", "--out", str(out)]) == 0
+        edges = json.loads(capsys.readouterr().out)["results"]["edges"]
+        ref = gen_random(96, 3, 0.97, 11)
+        reread = AssertionError("the text was read line by line")
+        with mock.patch.object(Hypergraph, "_entries_by_line", side_effect=reread), \
+                mock.patch.object(hypergraphs, "_masks", wraps=hypergraphs._masks) as columns:
+            H = Hypergraph.from_edge_list(out.read_text())
+        # the column builder saw only the edgeless host's empty columns
+        assert [call.args for call in columns.call_args_list] == [(96, [[], [], []])]
+        assert H == ref and H._conbr == ref._conbr
+        assert H.num_edges() == edges
+
     @settings(max_examples=200, deadline=None)
-    @given(canonical_and_perturbed())
+    @given(canonical_faulty_and_perturbed())
     def test_indicator_builder_equals_the_per_edge_loop(self, case):
-        _, k, edges, _, _ = case
+        _, k, edges, _, _, _ = case
         if edges:
-            cols = list(zip(*edges))
-            assert _indicator_masks(cols, max(map(max, edges)) + 1) == _edge_masks(cols)
+            top = max(map(max, edges)) + 1
+            S = bytearray(b"0") * top**k
+            for e in edges:
+                S[sum(v * top ** (k - 1 - i) for i, v in enumerate(e))] = ord("1")
+            assert _indicator_masks(S, top, k) == _edge_masks(list(zip(*edges)))
 
     @pytest.mark.parametrize("n, k, p, builder", [
         (9, 3, 0.9, _edge_masks),  # an oracles host: about 6 edge bits per pair
@@ -208,6 +267,20 @@ class TestCanonicalText:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert H.edges == {edge} and written == text
+
+    def test_a_dense_load_holds_no_entry_list(self):
+        # the indicator (0.9 MB), its masks and one chunk's columns, about
+        # 1.4 MB: a list of the text's 415k entries and the k column lists
+        # cut from it peak at 9.2 MB
+        text = gen_random(96, 3, 0.97, 11).to_edge_list()
+        tracemalloc.start()
+        try:
+            H = Hypergraph.from_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20
+        assert H.to_edge_list() == text
 
 
 @st.composite
