@@ -14,13 +14,15 @@ out of reach at this scale and are not reproduced.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import InvalidQueryError, InvalidStructureError
-from .hypergraphs import Hypergraph, vertex_mask
+from .hypergraphs import Hypergraph, mask_vertices, vertex_mask
 from .paths import EllPath, _Budget, _ordered_search, _search_path, _windows, validate_ell_path
 
 
@@ -92,8 +94,11 @@ def classify_set(
     vertices b and interior I absorbs S iff some ell-path from a to b
     runs through X = S + I.  Candidates share (a, X) far more often than
     (a, X, b), so one unbudgeted inner search per (a, X) collects every
-    end tuple reachable from a through X, and each candidate looks its b
-    up there.
+    end tuple reachable from a through X, as a map from its first ell-1
+    vertices to the mask of its last ones.  The outer search yields the
+    candidates that share all but their last vertex as one mask, so
+    those absorbing S are counted at once: the popcount of that mask
+    and the mask that the candidates' first ell-1 end vertices map to.
     """
     k = H.k
     if not 1 <= ell < k:
@@ -122,16 +127,18 @@ def classify_set(
     # which vertices are ends depends on it, so the outer search walks them
     # all: no class cut.  It yields them in lexicographic order, so the
     # candidates with the same a are consecutive and `reachable` holds the
-    # end tuples of the current a only, one set per X.
+    # end maps of the current a only, one per X.
     #
     # The inner search runs on the ell-path layout of m = t + (k-ell)
     # positions: the first ell are pinned to a, the next |X| draw from X and
     # the last ell from every vertex outside a and X.  It keeps its class
     # cut.  The end positions alone draw from their mask, so those in exactly
     # the same windows form a class and come out in ascending order (at
-    # (k, ell) = (4, 2), for one, both lie in the last window only); b is
-    # sorted the same way before the lookup.  Once the set holds every such
-    # tuple there can be, the search stops.
+    # (k, ell) = (4, 2), for one, both lie in the last window only); each
+    # such end is stored under every rearrangement within its classes, so
+    # that a candidate's end, in any order, finds its bit.  A yield's new
+    # bits are the class-sorted ends not yet stored, and once the map holds
+    # every such end there can be, the search stops.
     gap = k - ell
     m = t + gap
     inner = _windows(k, gap, m, False)
@@ -139,6 +146,13 @@ def classify_set(
     for j in range(ell):
         by_windows.setdefault(tuple(w for w in inner if m - ell + j in w), []).append(j)
     classes = [c for c in by_windows.values() if len(c) > 1]
+    rearrangements = []
+    for moves in itertools.product(*map(itertools.permutations, classes)):
+        index = list(range(ell))
+        for c, moved in zip(classes, moves):
+            for j, i in zip(c, moved):
+                index[j] = i
+        rearrangements.append(operator.itemgetter(*index))
     # the class-sorted ell-tuples of the n - (m - ell) vertices outside a and X
     most = math.perm(max(H.n - m + ell, 0), ell) // math.prod(
         math.factorial(len(c)) for c in classes)
@@ -148,27 +162,32 @@ def classify_set(
     count = 0
     prefix, reachable = None, {}
     outer = _windows(k, gap, t, False)
-    for order in _ordered_search(H, outer, allowed, _Budget(budget), cut=False):
+    for order, last in _ordered_search(H, outer, allowed, _Budget(budget), cut=False):
         a = order[:ell]
         if a != prefix:
             prefix, reachable = a, {}
         x = s_mask | vertex_mask(order[ell:t - ell])
         ends = reachable.get(x)
         if ends is None:
+            ends = reachable[x] = {}
+            found = 0
             rest = everyone & ~(x | vertex_mask(a))
-            ends = reachable[x] = set()
-            pins = [1 << v for v in a]
-            for q in _ordered_search(H, inner, pins + [x] * (m - 2 * ell) + [rest] * ell, None):
-                ends.add(q[m - ell:])
-                if len(ends) == most:
+            masks = [1 << v for v in a] + [x] * (m - 2 * ell) + [rest] * ell
+            for q, mask in _ordered_search(H, inner, masks, None):
+                key = q[m - ell:]
+                new = mask & ~ends.get(key, 0)
+                if not new:
+                    continue
+                if classes:
+                    for v in mask_vertices(new):
+                        for rearranged in rearrangements:
+                            end = rearranged(key + (v,))
+                            ends[end[:-1]] = ends.get(end[:-1], 0) | 1 << end[-1]
+                else:
+                    ends[key] = ends.get(key, 0) | new
+                found += new.bit_count()
+                if found == most:
                     break
-        b = order[t - ell:]
-        if classes:
-            b = list(b)
-            for c in classes:
-                for j, v in zip(c, sorted(b[j] for j in c)):
-                    b[j] = v
-            b = tuple(b)
-        count += b in ends
+        count += (last & ends.get(order[t - ell:], 0)).bit_count()
     good = count >= cfg.beta * H.n ** t
     return count, good

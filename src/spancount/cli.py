@@ -30,6 +30,7 @@ from .errors import BudgetExceededError, InvalidQueryError, SpancountError
 from .factors import (
     FactorDecomposition,
     FactorSpec,
+    _check_divides,
     factor_census,
     matching_zero_cycle_relation,
     single_edge_spec,
@@ -274,9 +275,10 @@ def cmd_stitch(args) -> Dict:
     ]
     if args.workers > 1:
         # one chunk per worker: a chunk is pickled once, so its trials share
-        # one copy of H; a loaded H pickles as its codegree masks alone
+        # one copy of H; a loaded H pickles as its codegree masks alone.  A
+        # pool starts all its workers at once, so it gets one per chunk only
         chunksize = -(-args.trials // args.workers)
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=-(-args.trials // chunksize)) as pool:
             outcomes = list(pool.map(_stitch_trial, payloads, chunksize=chunksize))
     else:
         outcomes = [_stitch_trial(p) for p in payloads]
@@ -326,7 +328,11 @@ def cmd_count(args) -> Dict:
 
 def cmd_factors(args) -> Dict:
     H = _load_host(args.input)
-    spec = FactorSpec(_load_host(args.pattern)) if args.pattern else single_edge_spec(H.k)
+    if args.pattern:
+        spec = FactorSpec(_load_host(args.pattern))
+    else:
+        _check_divides(H.k, H.n)  # before complete(k, k) is built, which a huge k cannot be
+        spec = single_edge_spec(H.k)
     count, dec = factor_census(H, spec, budget=args.budget)
     results = {
         "n": H.n,
@@ -366,7 +372,10 @@ def cmd_absorb_classify(args) -> Dict:
     _require(args.limit is None or args.limit >= 1, "--limit must be >= 1")
     _require(1 <= args.ell < H.k, f"--ell must be >= 1 and < k = {H.k}, got {args.ell}")
     threshold = _threshold(cfg.beta, H.n, args.t)
-    sets = itertools.islice(itertools.combinations(range(H.n), H.k - args.ell), args.limit)
+    # no set when k-ell > n, where combinations would first allocate k-ell indices
+    size = H.k - args.ell
+    sets = itertools.combinations(range(H.n), size) if size <= H.n else ()
+    sets = itertools.islice(sets, args.limit)
     classified = []
     for S in sets:
         count, good = classify_set(H, S, cfg, args.ell, budget=args.budget)

@@ -26,7 +26,14 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from .errors import DivisibilityError, InvalidQueryError
 from .hypergraphs import Hypergraph, complete, vertex_mask
 from .partition import Partition
-from .paths import _Budget, _ordered_search, _pinned, _plan, enumerate_hamilton_ell_cycles
+from .paths import (
+    _Budget,
+    _ordered_search,
+    _orderings,
+    _pinned,
+    _plan,
+    enumerate_hamilton_ell_cycles,
+)
 
 
 @dataclass(frozen=True)
@@ -103,12 +110,19 @@ def _canonical_copies(
     edges = tuple(sorted(spec.F.edges))
     least: Dict[Tuple[int, frozenset], Tuple[int, ...]] = {}
     for i in (p for p, mate in enumerate(_plan(edges, spec.t)[1]) if mate < 0):
-        for injection in _ordered_search(H, edges, _pinned(spec.t, available, i, anchor), None):
+        found = _ordered_search(H, edges, _pinned(spec.t, available, i, anchor), None)
+        for injection in _orderings(found):
             image = frozenset(tuple(sorted(injection[v] for v in e)) for e in edges)
             key = (vertex_mask(injection), image)
             if key not in least or injection < least[key]:
                 least[key] = injection
     return sorted((injection, key[0]) for key, injection in least.items())
+
+
+def _check_divides(t: int, size: int) -> None:
+    """Raise DivisibilityError unless a pattern on t vertices can cover `size`."""
+    if size % t != 0:
+        raise DivisibilityError(f"|F| = {t} must divide the {size} vertices to cover")
 
 
 def _factors(
@@ -119,8 +133,7 @@ def _factors(
     budget node per internal node.  The divisibility and uniformity checks
     run at the call; the caller verifies what it keeps."""
     cover = vertex_mask(range(H.n) if within is None else within)
-    if (size := cover.bit_count()) % spec.t != 0:
-        raise DivisibilityError(f"|F| = {spec.t} must divide the {size} vertices to cover")
+    _check_divides(spec.t, cover.bit_count())
     _check_uniformity(H, spec)
     counter = _Budget(budget)
     # every uncovered vertex is at least the anchor, the lowest uncovered

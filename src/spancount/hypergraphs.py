@@ -107,7 +107,9 @@ class Hypergraph:
         bad = next((tuple(sorted(e)) for e in rows if len(e) != k), None)
         if bad is not None:
             raise InvalidQueryError(f"edge {bad} is not a set of {k} distinct vertices")
-        self._conbr = _masks(n, [list(map(operator.itemgetter(i), rows)) for i in range(k)])
+        # no rows, no columns, so a huge k builds nothing
+        cols = [list(map(operator.itemgetter(i), rows)) for i in range(k)] if rows else []
+        self._conbr = _masks(n, cols)
 
     # -- basic accessors ------------------------------------------------
 
@@ -197,10 +199,11 @@ class Hypergraph:
         H = cls._from_canonical_text(text)
         if H is None:
             H, vals = cls._entries_by_line(text)
-            # column i holds each line's i-th vertex
-            cols = [vals[i::H.k] for i in range(H.k)]
-            del vals  # freed before the masks are built, which lowers the load's peak
-            H._conbr = _masks(H.n, cols)
+            if vals:
+                # column i holds each line's i-th vertex
+                cols = [vals[i::H.k] for i in range(H.k)]
+                del vals  # freed before the masks are built, which lowers the load's peak
+                H._conbr = _masks(H.n, cols)
         return H
 
     @classmethod
@@ -415,7 +418,9 @@ def _degrees(
     key's vertices)."""
     get = H._codegree_neighbours().get
     tmask = vertex_mask(target)
-    subsets = list(itertools.combinations(sorted(pool), H.k - 1))
+    pool = sorted(pool)
+    # combinations would first allocate k-1 indices, however few the pool's vertices
+    subsets = list(itertools.combinations(pool, H.k - 1)) if H.k <= len(pool) + 1 else []
     return subsets, [(get(U, 0) & tmask).bit_count() for U in subsets]
 
 
@@ -500,7 +505,9 @@ def _sample(n: int, k: int, p: Optional[float], seed: int) -> Iterator[Tuple[Edg
         if not 0 <= p <= 1:
             raise InvalidQueryError(f"probability p={p} out of [0, 1]")
     Hypergraph(n, k)  # k >= 1 and n >= 0
-    runs = ((u, range(u[-1] + 1 if u else 0, n)) for u in itertools.combinations(range(n), k - 1))
+    # with k > n there is no edge, and combinations would first allocate k-1 indices
+    prefixes = itertools.combinations(range(n), k - 1) if k <= n else ()
+    runs = ((u, range(u[-1] + 1 if u else 0, n)) for u in prefixes)
     if p is None:
         return runs
     draw = random.Random(seed).random

@@ -11,12 +11,16 @@ Everything here runs one ordered-window search, which fills positions
 in order so that every window of a given layout spans an edge, each
 position drawing from its own allowed vertex mask; a path's ends are
 one-bit masks (`_search_path`, which `can_absorb` runs).  It takes any
-layout, so the F-factor code finds copies of F with it too.  Every
-cyclic search runs through `_cycle_orders`, which confines each
-position to the block whose arc covers it; a phase is a position where
-the first arc may start, and a single block (the enumerator's whole
-vertex set) pins its least vertex there instead.  This search layer
-takes every vertex set as a bitmask: each public entry converts once.
+layout, so the F-factor code finds copies of F with it too.  It stops
+at the last position: it yields each prefix of the others once, with
+the mask of every vertex that completes it.  A first-hit search takes
+the mask's lowest bit, a count adds popcounts, and a listing expands
+the masks in ascending order (`_orderings`).  Every cyclic search runs
+through `_cycle_orders`, which confines each position to the block
+whose arc covers it; a phase is a position where the first arc may
+start, and a single block (the enumerator's whole vertex set) pins its
+least vertex there instead.  This search layer takes every vertex set
+as a bitmask: each public entry converts once.
 
 The search breaks one symmetry.  A class is a set of positions that lie
 in exactly the same windows and draw from the same allowed mask; any
@@ -29,8 +33,8 @@ A caller that needs every ordering either weights each one by the
 product of its classes' sizes' factorials (`_class_weight`, as the
 orbit count does), turns the cut off (`cut=False`, as the absorbers'
 outer count of candidate paths does, because it reads the paths' ends)
-or sorts what it compares within classes (as the absorbers' inner
-searches do with the end tuples they collect).
+or matches what it compares in every order within classes (as the
+absorbers' inner searches do with the end tuples they collect).
 
 Searches carry explicit node budgets, one node per position entered, so
 a budget bounds the nodes of the cut search tree; a partial result never
@@ -52,10 +56,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, DivisibilityError, InvalidQueryError, InvalidStructureError
-from .hypergraphs import Hypergraph
+from .hypergraphs import Hypergraph, mask_vertices
 
 
 # -- domain types --------------------------------------------------------
@@ -283,11 +287,14 @@ def _ordered_search(
     allowed: Sequence[int],
     budget: Optional[_Budget],
     cut: bool = True,
-) -> Iterator[Tuple[int, ...]]:
+) -> Iterator[Tuple[Tuple[int, ...], int]]:
     """Yield, in lexicographic order, the orderings of len(allowed)
     vertices in which each window of the layout `windows` (position
-    tuples, each of k positions) is an edge of H; with `cut`, only those
-    that fill every class (`_class_links`) in ascending order.
+    tuples, each of k positions) is an edge of H, with `cut` only those
+    that fill every class (`_class_links`) in ascending order, grouped by
+    all but their last vertex: one (prefix, mask) per prefix, the prefix
+    filling positions 0..end-1 and the nonzero bitmask `mask` holding
+    every vertex that completes it at the last position, end.
 
     Positions are filled in order by one loop over a stack of
     per-position candidate masks.  Position p takes the vertices of the
@@ -295,22 +302,25 @@ def _ordered_search(
     one-bit mask pins p to its vertex.  The vertex must complete each
     window that closes there, so the candidates are cut down to those
     windows' codegree masks, and with `cut` to the vertices above the
-    one at the last earlier position of p's class.  The least ordering
-    of each class orbit is the class-sorted one, so the cut keeps a
-    search's first ordering and the least of every orbit; a caller that
-    counts every ordering, or reads what a permutation inside a class
-    changes, passes cut=False.  With a budget, entering a position
-    spends one node, so a budget bounds the nodes of the tree the cut
-    leaves.
+    one at the last earlier position of p's class.  The last position's
+    candidates are all that remain to choose, so they are yielded as
+    that mask, not placed one by one: a caller counts them by popcount,
+    takes the lowest bit for the first ordering, or lists them through
+    `_orderings`.  The least ordering of each class orbit is the
+    class-sorted one, so the cut keeps a search's first ordering and the
+    least of every orbit; a caller that counts every ordering, or reads
+    what a permutation inside a class changes, passes cut=False.  With a
+    budget, entering a position spends one node, the last one included,
+    so a budget bounds the nodes of the tree the cut leaves.
     """
     length = len(allowed)
     closing = _plan(windows, length)[0]
     links = _class_links(windows, allowed) if cut else [-1] * length
     get = H._codegree_neighbours().get
-    order = [-1] * length
-    rest = [0] * length  # the candidates still to try at each filled position
-    free = (1 << H.n) - 1
     end = length - 1
+    order = [-1] * end  # the last position is never placed
+    rest = [0] * end  # the candidates still to try at each filled position
+    free = (1 << H.n) - 1
     p = 0
     while True:
         # enter position p
@@ -322,24 +332,30 @@ def _ordered_search(
             c &= -(2 << order[q])
         for others in closing[p]:
             c &= get(tuple(sorted(others(order))), 0)
-        # place p's next candidate, backing up past positions that have none
-        while True:
+        if p == end:
             if c:
-                low = c & -c
-                c ^= low
-                order[p] = low.bit_length() - 1
-                if p < end:
-                    break
-                yield tuple(order)
-            elif p:
-                p -= 1
-                free |= 1 << order[p]
-                c = rest[p]
-            else:
+                yield tuple(order), c
+            c = 0
+        # back up past positions that have no candidate left, then place p's next
+        while not c:
+            if not p:
                 return
-        rest[p] = c
+            p -= 1
+            free |= 1 << order[p]
+            c = rest[p]
+        low = c & -c
+        order[p] = low.bit_length() - 1
+        rest[p] = c ^ low
         free ^= low
         p += 1
+
+
+def _orderings(found: Iterable[Tuple[Tuple[int, ...], int]]) -> Iterator[Tuple[int, ...]]:
+    """The full orderings of `_ordered_search`'s (prefix, mask) items, in
+    its order: each prefix completed by the mask's vertices, ascending."""
+    for prefix, mask in found:
+        for v in mask_vertices(mask):
+            yield prefix + (v,)
 
 
 def _pinned(length: int, pool: int, p: int, v: int) -> List[int]:
@@ -356,11 +372,12 @@ def _cycle_orders(
     windows: Layout,
     phases: int,
     budget: _Budget,
-) -> Iterator[Tuple[List[int], Tuple[int, ...]]]:
+) -> Iterator[Tuple[List[int], Tuple[Tuple[int, ...], int]]]:
     """Every cyclic ordering in which the blocks (vertex masks) fill
     consecutive arcs in order and every window of the cyclic layout
     `windows` is an edge, V_1's arc starting at a phase s < `phases`,
-    each with the per-position masks of the phase that found it.
+    as `_ordered_search`'s (prefix, mask) items, each with the
+    per-position masks of the phase that found it.
 
     Rotating an ordering by a multiple of `phases` must keep the
     layout; then any such ordering has a rotation found here.  A single
@@ -390,7 +407,8 @@ def _search_cycle(
     benchmark's tracer (`bench/tracing.py`) can time their searches as
     its `paths.search` frame.
     """
-    return next((order for _, order in _cycle_orders(H, blocks, windows, phases, budget)), None)
+    found = _cycle_orders(H, blocks, windows, phases, budget)
+    return next(_orderings(item for _, item in found), None)
 
 
 def _search_path(
@@ -409,7 +427,7 @@ def _search_path(
     """
     allowed = [1 << v for v in a] + [interior] * interior.bit_count() + [1 << v for v in b]
     windows = _windows(H.k, H.k - ell, len(allowed), False)
-    return next(_ordered_search(H, windows, allowed, budget), None)
+    return next(_orderings(_ordered_search(H, windows, allowed, budget)), None)
 
 
 # -- counting copies of a cyclic layout ----------------------------------
@@ -436,15 +454,17 @@ def _orbit_count(
 
     The search pins vertex 0 at phase s (`_cycle_orders` with the one
     block 0..n-1) and fills each window class in ascending order, so it
-    finds one ordering per orbit of the class permutations; each stands
-    for the product of |class|! over the classes of its phase's masks,
-    vertex 0 being a class of its own.  The search spends at most
-    `budget` nodes, and its error names the host it ran on.
+    finds one ordering per orbit of the class permutations, and those
+    that share all but their last vertex as one mask, counted by its
+    popcount; each stands for the product of |class|! over the classes
+    of its phase's masks, vertex 0 being a class of its own.  The
+    search spends at most `budget` nodes, and its error names the host
+    it ran on.
     """
     host = H if H is not None else Hypergraph(1 + max(map(max, windows)), len(windows[0]), windows)
     orders = _cycle_orders(host, ((1 << host.n) - 1,), windows, phases, _Budget(budget))
     try:
-        return sum(_class_weight(windows, allowed) * sum(1 for _ in found)
+        return sum(_class_weight(windows, allowed) * sum(mask.bit_count() for _, (_, mask) in found)
                    for allowed, found in itertools.groupby(orders, operator.itemgetter(0)))
     except BudgetExceededError:
         search = "the host's cycle search" if H is not None else (
@@ -502,7 +522,8 @@ def enumerate_hamilton_ell_cycles(
         return count_copies(H, windows, phases, budget)
     cycles: dict = {}
     if H._codegree_neighbours():  # an edgeless host (any with n < k) has no cycle
-        for _, order in _cycle_orders(H, ((1 << H.n) - 1,), windows, phases, _Budget(budget)):
+        found = _cycle_orders(H, ((1 << H.n) - 1,), windows, phases, _Budget(budget))
+        for order in _orderings(item for _, item in found):
             cycle = EllCycle(order, H.k, ell)
             cycles.setdefault(cycle.edge_set(), cycle)
     return list(cycles.values())

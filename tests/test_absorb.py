@@ -26,7 +26,7 @@ from spancount import (
 )
 from spancount import absorb
 from spancount.hypergraphs import Hypergraph, vertex_mask
-from spancount.paths import _Budget, _ordered_search, _search_path, _windows
+from spancount.paths import _Budget, _ordered_search, _orderings, _search_path, _windows
 
 
 def perm(n, t):
@@ -218,7 +218,7 @@ def reference_classify(H, S, ell, t):
     allowed = (((1 << H.n) - 1) & ~s_mask,) * t
     count = 0
     layout = _windows(k, k - ell, t, False)
-    for order in _ordered_search(H, layout, allowed, _Budget(None), cut=False):
+    for order in _orderings(_ordered_search(H, layout, allowed, _Budget(None), cut=False)):
         interior = s_mask | vertex_mask(order[ell:t - ell])
         if _search_path(H, ell, order[:ell], order[t - ell:], interior, None) is not None:
             count += 1
@@ -254,18 +254,39 @@ def test_one_inner_search_per_prefix_and_interior(monkeypatch):
     calls = []
 
     def spy(H, layout, allowed, budget, cut=True):
-        calls.append(tuple(allowed))
-        return _ordered_search(H, layout, allowed, budget, cut)
+        items = list(_ordered_search(H, layout, allowed, budget, cut))
+        calls.append((tuple(allowed), items))
+        return iter(items)
 
     monkeypatch.setattr(absorb, "_ordered_search", spy)
     count, _ = classify_set(H, S, AbsorberConfig(Fraction(1, 1000), t), ell)
     assert count == reference_classify(H, S, ell, t)
-    outer, inner = calls[0], calls[1:]
+    (outer, found), inner = calls[0], [allowed for allowed, _ in calls[1:]]
     assert len(outer) == t
     # an inner search pins its first ell positions to the prefix and draws the
     # next ones from the interior mask: no (prefix, interior) pair twice
     keys = [(allowed[:ell], allowed[ell]) for allowed in inner]
     assert len(set(keys)) == len(keys)
-    orders = list(_ordered_search(H, _windows(3, 1, t, False), outer, _Budget(None), cut=False))
+    orders = list(_orderings(found))
     pairs = {(o[:ell], frozenset(o[ell:t - ell])) for o in orders}
     assert 0 < len(inner) <= len(pairs) < len(orders)
+    # the outer search yields the candidates that share their first t-1
+    # vertices as one mask: each prefix once
+    prefixes = [prefix for prefix, _ in found]
+    assert all(len(prefix) == t - 1 for prefix in prefixes)
+    assert len(set(prefixes)) == len(prefixes) < len(orders)
+
+
+@pytest.mark.parametrize("k, ell, t, n, p, seed, S", [
+    (3, 2, 5, 7, 0.9, 508480, (6,)),
+    (3, 1, 5, 9, 0.5, 709727, (3, 7)),
+    # both end positions form one class
+    (4, 2, 6, 10, 0.5, 318104, (4, 7)),
+])
+def test_the_inner_search_stops_on_distinct_ends_only(k, ell, t, n, p, seed, S):
+    # an inner search finds the same end again through another interior
+    # ordering; counting such repeats towards the stop would end it before
+    # every end is found, and these counts would come out short
+    H = gen_random(n, k, p, seed)
+    assert classify_set(H, S, AbsorberConfig(Fraction(1, 1000), t), ell)[0] == reference_classify(
+        H, S, ell, t)

@@ -216,6 +216,38 @@ class TestStitchCommand:
         for trials, workers in ((4, 2), (3, 2), (1, 2)):
             assert results(trials, workers) == results(trials, 1)
 
+    def test_the_pool_starts_no_more_workers_than_chunks(self, tmp_path, monkeypatch):
+        # an inline stand-in for the pool records its size and starts no process
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        hostfile = tmp_path / "k12.txt"
+        assert main(["generate", "--family", "complete", "--n", "12", "--k", "3",
+                     "--out", str(hostfile)]) == 0
+
+        def results(workers):
+            out = tmp_path / f"w{workers}.json"
+            assert main(["stitch", "--input", str(hostfile), "--ell", "2", "--m", "3",
+                         "--delta", "1/2", "--gamma", "1/10", "--trials", "2",
+                         "--workers", str(workers), "--out", str(out)]) == 0
+            return json.loads(out.read_text())["results"]
+
+        assert results(1000) == results(1)
+        assert sizes == [2]
+
     def test_verify_roundtrip(self, tmp_path):
         hostfile = tmp_path / "k24.txt"
         assert main(["generate", "--family", "complete", "--n", "24", "--k", "3",
@@ -537,6 +569,55 @@ class TestExitCodes:
         assert main(["partition", "--input", str(k24), "--m", "6", "--delta", "1/2",
                      "--gamma", "1/10", "--trials", "1", "--ell", ell]) == 2
         assert capsys.readouterr().err == f"error: --ell must lie in 0..2, got {ell}\n"
+
+
+def _capped(tmp_path, *argv):
+    """The CLI run on `argv` in a subprocess whose address space is capped
+    at 400 MB, so that an allocation that grows with k fails there."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import resource, sys\n"
+        "cap, hard = 400 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap if hard < 0 else min(cap, hard), hard))\n"
+        "from spancount.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestHugeUniformity:
+    # a header's k sizes nothing that the host does not hold: a host with no
+    # edge builds no column per position, so k = 10^9 fits under the cap
+
+    @pytest.mark.parametrize("argv, message", [
+        (["count", "--ell", "1"], "(k-ell)=999999999 must divide n=3"),
+        (["stitch", "--ell", "1", "--m", "1", "--delta", "1/2", "--gamma", "1/10"],
+         "(k-ell)=999999999 must divide n=3"),
+        (["factors"], "|F| = 1000000000 must divide the 3 vertices to cover"),
+    ], ids=["count", "stitch", "factors"])
+    def test_commands_on_a_huge_k_header_exit_2(self, tmp_path, argv, message):
+        (tmp_path / "h.txt").write_text("3 1000000000\n")
+        out = _capped(tmp_path, argv[0], "--input", "h.txt", *argv[1:])
+        assert (out.returncode, out.stderr) == (2, f"error: {message}\n")
+
+    def test_generate_absorb_classify_and_partition_give_the_edgeless_host(self, tmp_path):
+        out = _capped(tmp_path, "generate", "--family", "complete", "--n", "3",
+                      "--k", "1000000000", "--out", "h.txt")
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["results"]["edges"] == 0
+        assert (tmp_path / "h.txt").read_text() == "3 1000000000\n"
+        out = _capped(tmp_path, "absorb-classify", "--input", "h.txt", "--ell", "1", "--t", "5")
+        assert out.returncode == 0, out.stderr
+        results = json.loads(out.stdout)["results"]
+        assert (results["classified"], results["good_sets"]) == ([], 0)
+        # the goodness scan has no (k-1)-set to read, so the one trial is vacuously good
+        out = _capped(tmp_path, "partition", "--input", "h.txt", "--m", "1", "--delta", "1/2",
+                      "--gamma", "1/10", "--trials", "1")
+        assert out.returncode == 0, out.stderr
+        results = json.loads(out.stdout)["results"]
+        assert (results["trials"], results["successes"]) == (1, 1)
 
 
 class TestRationalOptions:

@@ -2,9 +2,10 @@
 
 `reference_search` is the search as it was before it became one loop with
 a class cut: a recursive generator that walks every ordering.  The kernel
-must yield exactly the class-sorted orderings of the reference, in the
-same order; with the cut off it must match it yield for yield and budget
-for budget.
+yields each prefix of all but the last position once, with the mask of the
+vertices that complete it; expanded (`_orderings`), those must be exactly
+the class-sorted orderings of the reference, in the same order.  With the
+cut off they must match it yield for yield and budget for budget.
 """
 
 import math
@@ -12,13 +13,23 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spancount import BudgetExceededError, complete, enumerate_hamilton_ell_cycles, gen_random
+from spancount import (
+    BudgetExceededError,
+    EllCycle,
+    PowerCycle,
+    complete,
+    enumerate_hamilton_ell_cycles,
+    gen_random,
+)
 from spancount.bounds import expected_random_count
 from spancount.hypergraphs import Hypergraph, mask_vertices, vertex_mask
 from spancount.paths import (
     _Budget,
     _class_weight,
+    _cycle_orders,
     _ordered_search,
+    _orbit_count,
+    _orderings,
     _pinned,
     _power_windows,
     _windows,
@@ -74,6 +85,16 @@ def class_sorter(windows, allowed):
         return tuple(out)
 
     return class_sorted
+
+
+def grouped(found):
+    """The orderings of the kernel's (prefix, mask) items, after checking
+    that it yields each prefix once, in ascending order, with a nonzero mask."""
+    found = list(found)
+    prefixes = [prefix for prefix, _ in found]
+    assert prefixes == sorted(set(prefixes))
+    assert all(mask for _, mask in found)
+    return list(_orderings(found))
 
 
 def drain(orders):
@@ -178,7 +199,7 @@ def searches(draw):
 def test_cut_yields_the_class_sorted_reference_orderings(search):
     H, windows, length, allowed = search
     ref = list(reference_search(H, windows, length, allowed, None))
-    cut = list(_ordered_search(H, windows, allowed, None))
+    cut = grouped(_ordered_search(H, windows, allowed, None))
     class_sorted = class_sorter(windows, allowed)
     assert cut == [o for o in ref if o == class_sorted(o)]
     assert set(cut) == set(map(class_sorted, ref))
@@ -192,10 +213,11 @@ def test_cut_yields_the_class_sorted_reference_orderings(search):
 def test_without_the_cut_the_kernel_is_the_reference(search, data):
     H, windows, length, allowed = search
     ref = list(reference_search(H, windows, length, allowed, None))
-    assert list(_ordered_search(H, windows, allowed, None, cut=False)) == ref
+    assert grouped(_ordered_search(H, windows, allowed, None, cut=False)) == ref
     nodes = nodes_of(H, windows, length, allowed)
     for limit in {nodes, nodes - 1, data.draw(st.integers(0, nodes))}:
-        got = drain(_ordered_search(H, windows, allowed, _Budget(limit), cut=False))
+        found = _ordered_search(H, windows, allowed, _Budget(limit), cut=False)
+        got = drain(_orderings(found))
         assert got == drain(reference_search(H, windows, length, allowed, _Budget(limit)))
     assert drain(_ordered_search(H, windows, allowed, _Budget(nodes), cut=False))[1] is False
 
@@ -207,7 +229,7 @@ def test_a_pinned_position_breaks_no_class_chain():
     K = complete(6, 4)
     for i in range(4):
         allowed = _pinned(4, vertex_mask(range(6)), i, 0)
-        found = list(_ordered_search(K, edge, allowed, None))
+        found = list(_orderings(_ordered_search(K, edge, allowed, None)))
         assert len(found) == math.comb(5, 3)
         assert len(list(reference_search(K, edge, 4, allowed, None))) == 6 * len(found)
 
@@ -263,3 +285,32 @@ def test_weighted_window_host_count_is_the_recursive_count(n, k, ell):
     )
     count = expected_random_count(n, k, ell, 1)
     assert count * (n // gap) * N_W == math.factorial(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbit_count_popcounts_are_the_weighted_expanded_orderings(data):
+    # on ell-cycle and power layouts: the popcount sum equals the class-weighted
+    # count of the expanded orderings, and the recursive search's full count
+    k = data.draw(st.integers(2, 4))
+    if data.draw(st.booleans()):
+        ell = data.draw(st.integers(0, k - 1))
+        gap = k - ell
+        n = gap * data.draw(st.integers(-(-k // gap), 8 // gap))
+        windows, phases = EllCycle.layout(k, ell, n)
+    else:
+        t = data.draw(st.integers(k, k + 1))
+        n = data.draw(st.integers(t, 7))
+        windows, phases = PowerCycle.layout(k, t, n)
+    p = data.draw(st.sampled_from([0.6, 0.9, 1.0]))
+    H = gen_random(n, k, p, data.draw(st.integers(0, 10 ** 6)))
+    everyone = (1 << n) - 1
+    orders = _cycle_orders(H, (everyone,), windows, phases, _Budget(None))
+    expanded = sum(
+        _class_weight(windows, allowed) for allowed, item in orders for _ in _orderings([item])
+    )
+    assert _orbit_count(windows, phases, None, H) == expanded
+    pinned = (_pinned(n, everyone, s, 0) for s in range(phases))
+    assert expanded == sum(
+        1 for allowed in pinned for _ in reference_search(H, windows, n, allowed, None)
+    )
