@@ -1,16 +1,27 @@
 """k-uniform hypergraphs with exact degree queries.
 
 Vertices are dense integers 0..n-1 and edges are sorted k-tuples.  A
-hypergraph is immutable after construction.  Its codegree index maps
+hypergraph's edges are fixed at construction.  Its codegree index maps
 each sorted (k-1)-tuple U to one int bitmask whose bit v is set iff
 U + {v} is an edge.  The only degree is the codegree, |U| = k-1, and
 every count of it comes from one kernel over these masks, `_degrees`;
 the searches cut their candidates down with `&`.
 
-Every host stores only these masks, and the edge set, `num_edges`,
-`==`, `hash` and `to_edge_list` are read off them.  `Hypergraph(n, k,
-edges)` hands the edges' columns to one validator, `_masks`, that builds
-them; so does `from_edge_list`, but for dense canonical text (below).
+Every host stores these masks, and the edge set, `num_edges`, `==`,
+`hash`, pickling and `to_edge_list` are read off them alone.
+`Hypergraph(n, k, edges)` hands the edges' columns to one validator,
+`_masks`, that builds them; so does `from_edge_list`, but for dense
+canonical text (below).
+
+The one thing a host derives from its masks after construction is its
+any-order view (`_any_order`, an `_AnyOrder`): the same masks keyed by
+every ordering of a (k-1)-tuple that a search has looked up, built on
+the first search and filled one key at a time.  A search reads a
+window's other vertices in the order it placed them, so each key is
+sorted only on its first lookup; every later one is a plain dict hit.
+The view holds at most (k-1)!·C(n, k-1) entries, and only as many as
+the searches look up; it dies with its host and is not pickled, so each
+worker process fills its own.
 
 Binomial and complete hosts are drawn by one sampler, `_sample`, one
 (k-1)-prefix run at a time in lexicographic order; `gen_random` builds
@@ -91,10 +102,26 @@ _CELLS_PER_EDGE = 32
 _EDGES_PER_SET = 16
 
 
+class _AnyOrder(dict):
+    """A host's codegree masks keyed by any ordering of a (k-1)-tuple of
+    vertices: a missing key is sorted once, its mask (0 if there is none)
+    read off the masks and stored under the key as given."""
+
+    __slots__ = ("_conbr",)
+
+    def __init__(self, conbr: Dict[Edge, int]):
+        super().__init__()
+        self._conbr = conbr
+
+    def __missing__(self, key: Edge) -> int:
+        m = self[key] = self._conbr.get(tuple(sorted(key)), 0)
+        return m
+
+
 class Hypergraph:
     """An n-vertex k-uniform hypergraph over vertices 0..n-1."""
 
-    __slots__ = ("n", "k", "_conbr")
+    __slots__ = ("n", "k", "_conbr", "_view")
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]] = ()):
         if k < 1:
@@ -110,6 +137,15 @@ class Hypergraph:
         # no rows, no columns, so a huge k builds nothing
         cols = [list(map(operator.itemgetter(i), rows)) for i in range(k)] if rows else []
         self._conbr = _masks(n, cols)
+        self._view = None
+
+    def __getstate__(self):
+        # the masks alone: the any-order view is derived, and filled again where it is used
+        return self.n, self.k, self._conbr
+
+    def __setstate__(self, state) -> None:
+        self.n, self.k, self._conbr = state
+        self._view = None
 
     # -- basic accessors ------------------------------------------------
 
@@ -158,6 +194,13 @@ class Hypergraph:
         """Map each (k-1)-subset U of an edge to the bitmask of the vertices
         v completing it: bit v is set iff U + {v} is an edge."""
         return self._conbr
+
+    def _any_order(self) -> _AnyOrder:
+        """The codegree masks keyed by any ordering of a (k-1)-tuple, built on
+        first use (the module docstring has its size bound)."""
+        if self._view is None:
+            self._view = _AnyOrder(self._conbr)
+        return self._view
 
     def degree(self, U: Iterable[int], S: Iterable[int]) -> int:
         """The codegree d(U, S), |U| = k-1: the vertices v of S with U + {v}
@@ -470,8 +513,8 @@ def dirac_threshold(k: int, ell: int) -> Fraction:
 
 
 def complete(n: int, k: int) -> Hypergraph:
-    """The complete k-graph K_n^(k)."""
-    return Hypergraph(n, k, itertools.combinations(range(n), k))
+    """The complete k-graph K_n^(k), from the runs of `_sample`."""
+    return _from_runs(n, k, _sample(n, k, None, 0))
 
 
 def empty(n: int, k: int) -> Hypergraph:
@@ -487,7 +530,12 @@ def gen_random(n: int, k: int, p: float, seed: int) -> Hypergraph:
     come from `_sample`, the sampler that `generate --family binomial`
     streams to text, so both keep the same edges.
     """
-    return Hypergraph(n, k, (u + (v,) for u, vs in _sample(n, k, p, seed) for v in vs))
+    return _from_runs(n, k, _sample(n, k, p, seed))
+
+
+def _from_runs(n: int, k: int, runs: Iterable[Tuple[Edge, Sequence[int]]]) -> Hypergraph:
+    """The host of `_sample`'s runs: the edges u + (v,) for each v of u's run."""
+    return Hypergraph(n, k, (u + (v,) for u, vs in runs for v in vs))
 
 
 def _sample(n: int, k: int, p: Optional[float], seed: int) -> Iterator[Tuple[Edge, Sequence[int]]]:

@@ -11,7 +11,10 @@ Everything here runs one ordered-window search, which fills positions
 in order so that every window of a given layout spans an edge, each
 position drawing from its own allowed vertex mask; a path's ends are
 one-bit masks (`_search_path`, which `can_absorb` runs).  It takes any
-layout, so the F-factor code finds copies of F with it too.  It stops
+layout, so the F-factor code finds copies of F with it too.  Its one
+window test is a lookup of the window's other vertices, in the order the
+search placed them, in the host's any-order view of its codegree masks,
+so no window test sorts once its key has been seen.  It stops
 at the last position: it yields each prefix of the others once, with
 the mask of every vertex that completes it.  A first-hit search takes
 the mask's lowest bit, a count adds popcounts, and a listing expands
@@ -225,10 +228,15 @@ def _power_windows(k: int, t: int, length: int) -> Layout:
 
 
 def _getter(positions: Tuple[int, ...]):
-    """A function from an ordering to the vertices at `positions`."""
+    """A function from an ordering to the tuple of its vertices at
+    `positions`, in that order."""
     if len(positions) > 1:
         return operator.itemgetter(*positions)
-    return lambda order: [order[q] for q in positions]
+    # itemgetter of one position returns the bare vertex, not a tuple (k = 2)
+    if positions:
+        (q,) = positions
+        return lambda order: (order[q],)
+    return lambda order: ()  # k = 1: a window is its last position alone
 
 
 @functools.lru_cache(maxsize=256)
@@ -302,11 +310,14 @@ def _ordered_search(
     one-bit mask pins p to its vertex.  The vertex must complete each
     window that closes there, so the candidates are cut down to those
     windows' codegree masks, and with `cut` to the vertices above the
-    one at the last earlier position of p's class.  The last position's
-    candidates are all that remain to choose, so they are yielded as
-    that mask, not placed one by one: a caller counts them by popcount,
-    takes the lowest bit for the first ordering, or lists them through
-    `_orderings`.  The least ordering of each class orbit is the
+    one at the last earlier position of p's class.  A window's mask is
+    looked up in H's any-order view (`Hypergraph._any_order`) under the
+    tuple of its other vertices in position order, as placed, so only a
+    key's first lookup sorts it; every later one is a dict hit.  The
+    last position's candidates are all that remain to choose, so they
+    are yielded as that mask, not placed one by one: a caller counts
+    them by popcount, takes the lowest bit for the first ordering, or
+    lists them through `_orderings`.  The least ordering of each class orbit is the
     class-sorted one, so the cut keeps a search's first ordering and the
     least of every orbit; a caller that counts every ordering, or reads
     what a permutation inside a class changes, passes cut=False.  With a
@@ -316,7 +327,7 @@ def _ordered_search(
     length = len(allowed)
     closing = _plan(windows, length)[0]
     links = _class_links(windows, allowed) if cut else [-1] * length
-    get = H._codegree_neighbours().get
+    get = H._any_order().__getitem__
     end = length - 1
     order = [-1] * end  # the last position is never placed
     rest = [0] * end  # the candidates still to try at each filled position
@@ -331,7 +342,7 @@ def _ordered_search(
         if q >= 0:
             c &= -(2 << order[q])
         for others in closing[p]:
-            c &= get(tuple(sorted(others(order))), 0)
+            c &= get(others(order))
         if p == end:
             if c:
                 yield tuple(order), c

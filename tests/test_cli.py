@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -22,11 +23,13 @@ from spancount import (
     EllCycle,
     GoodnessSpec,
     Hypergraph,
+    Partition,
     complete,
     derive_seed,
     gen_random,
     random_bisection,
     size_vector,
+    stitch_cycle,
 )
 from spancount import cli, paths
 from spancount.cli import _flatten, main
@@ -247,6 +250,38 @@ class TestStitchCommand:
 
         assert results(1000) == results(1)
         assert sizes == [2]
+
+    def test_a_worker_payload_ships_no_filled_view(self, monkeypatch):
+        # a host whose any-order view a search has filled pickles as its masks
+        # alone, so each worker fills a view of its own
+        H = complete(12, 3)
+        assert stitch_cycle(H, Partition((tuple(range(12)),)), 2) is not None
+        filled = len(H._any_order())
+        shipped = []
+
+        class PicklingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                for item in items:
+                    copy = pickle.loads(pickle.dumps(item))
+                    assert copy[0] == H and copy[0]._view is None
+                    shipped.append(copy[0])
+                    yield fn(copy)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", PicklingPool)
+        monkeypatch.setattr(cli, "_load_host", lambda path: H)
+        assert main(["stitch", "--input", "k12.txt", "--ell", "2", "--m", "3", "--delta", "1/2",
+                     "--gamma", "1/10", "--trials", "2", "--workers", "2"]) == 0
+        assert len(shipped) == 2 and all(G._view for G in shipped)
+        assert len(H._any_order()) == filled
 
     def test_verify_roundtrip(self, tmp_path):
         hostfile = tmp_path / "k24.txt"

@@ -2,10 +2,14 @@
 
 import itertools
 import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -30,6 +34,7 @@ from spancount import (
 from spancount import hypergraphs
 from spancount.cli import main
 from spancount.hypergraphs import _edge_masks, _indicator_masks
+from spancount.paths import PowerCycle, count_copies
 
 
 def brute_degree(H, U, S):
@@ -452,7 +457,59 @@ class TestDiracThreshold:
         assert isinstance(dirac_threshold(3, 1), Fraction)
 
 
+@st.composite
+def view_hosts(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 7))
+    edges = [e for e in itertools.combinations(range(n), k) if draw(st.booleans())]
+    return Hypergraph(n, k, edges)
+
+
+class TestAnyOrderView:
+    @settings(max_examples=80, deadline=None)
+    @given(view_hosts())
+    def test_every_ordering_reads_its_sorted_mask(self, H):
+        view = H._any_order()
+        for t in itertools.permutations(range(H.n), H.k - 1):
+            assert view[t] == H._conbr.get(tuple(sorted(t)), 0)
+        assert H._any_order() is view
+
+    @settings(max_examples=80, deadline=None)
+    @given(view_hosts())
+    def test_a_filled_view_changes_no_host_query(self, H):
+        shipped = pickle.dumps(H)
+        # the tight cycle's search fills the view of any host with an edge
+        count_copies(H, *PowerCycle.layout(H.k, H.k, H.n))
+        assert bool(H._any_order()) == bool(H._conbr)
+        fresh = Hypergraph(H.n, H.k, sorted(H.edges))
+        assert H == fresh and hash(H) == hash(fresh)
+        assert H.edges == fresh.edges and H.num_edges() == fresh.num_edges()
+        assert H.to_edge_list() == fresh.to_edge_list()
+        assert pickle.dumps(H) == shipped
+        assert pickle.loads(shipped)._view is None
+
+
 class TestGenerators:
+    def test_complete_lists_every_k_subset(self):
+        for n, k in ((6, 3), (5, 1), (4, 4), (2, 3), (0, 2)):
+            assert complete(n, k).edges == frozenset(itertools.combinations(range(n), k))
+
+    def test_complete_with_a_huge_k_is_edgeless_under_a_cap(self):
+        # combinations(range(3), 10**9) allocates 10**9 indices before it finds
+        # that there is no 10**9-subset, which a 400 MB address cap refuses
+        code = (
+            "import resource\n"
+            "cap, hard = 400 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap if hard < 0 else min(cap, hard), hard))\n"
+            "from spancount.hypergraphs import complete\n"
+            "H = complete(3, 10**9)\n"
+            "print(H.n, H.k, H.num_edges())"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                             capture_output=True, text=True, timeout=120)
+        assert (out.returncode, out.stdout) == (0, "3 1000000000 0\n"), out.stderr
+
     def test_gen_random_deterministic(self):
         a = gen_random(10, 3, 0.4, seed=11)
         b = gen_random(10, 3, 0.4, seed=11)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import operator
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +25,7 @@ from spancount import (
 )
 from spancount.absorb import can_absorb
 from spancount.hypergraphs import Hypergraph, vertex_mask
-from spancount.paths import _orbit_count, _search_path, count_copies
+from spancount.paths import _Budget, _orbit_count, _search_path, _window_count, count_copies
 
 
 class TestStructures:
@@ -226,3 +227,30 @@ class TestPowerCount:
         assert count == brute_force_power_count(H, t)
         if t == H.k:  # a tight cycle: the power layout has the tight cycle's windows
             assert count == enumerate_hamilton_ell_cycles(H, H.k - 1)
+
+
+class TestAnyOrderView:
+    def test_a_second_count_reuses_the_view_and_never_sorts(self):
+        H = gen_random(9, 3, 0.9, 2)
+        windows, phases = EllCycle.layout(3, 2, 9)
+        _window_count(windows, phases, None)  # so that each count below searches H alone
+        spend = _Budget.spend
+
+        def counted():
+            spent = []
+
+            def spy(self):
+                spent.append(1)
+                spend(self)
+
+            with mock.patch.object(_Budget, "spend", spy):
+                return count_copies(H, windows, phases), len(spent)
+
+        first = counted()
+        size = len(H._any_order())
+        assert size and first[1]
+        assert counted() == first
+        assert len(H._any_order()) == size
+        # every key the count looks up is in the view now, so nothing sorts
+        with mock.patch("builtins.sorted", side_effect=AssertionError("a window test sorted")):
+            assert counted() == first
