@@ -162,7 +162,7 @@ def classify_set(
     count = 0
     prefix, reachable = None, {}
     outer = _windows(k, gap, t, False)
-    for order, last in _ordered_search(H, outer, allowed, _Budget(budget), cut=False):
+    for order, last in _ordered_search(H, outer, allowed, _Budget(budget), [-1] * t):
         a = order[:ell]
         if a != prefix:
             prefix, reachable = a, {}

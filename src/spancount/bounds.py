@@ -133,7 +133,7 @@ def expected_random_count(
     (n/phases) * N_W with N_W the orbit count on W (`paths._orbit_count`,
     which states the argument for any cyclic layout, read through the
     cache that `paths.count_copies` divides by); at (48, 4, 2) N_W is
-    2^25, from 4 orderings found.  That search is a subtree of the one
+    2^25, from 2 orderings found.  That search is a subtree of the one
     that would enumerate K_n's cycles, so `budget` bounds it as it would
     the enumeration.  |E(W)| is W's number of distinct windows.
     """

@@ -25,19 +25,24 @@ start, and a single block (the enumerator's whole vertex set) pins its
 least vertex there instead.  This search layer takes every vertex set
 as a bitmask: each public entry converts once.
 
-The search breaks one symmetry.  A class is a set of positions that lie
-in exactly the same windows and draw from the same allowed mask; any
-permutation of the vertices inside classes keeps every window's vertex
-set.  So the search fills each class in ascending order (the class
-cut), which keeps the first ordering it finds and the least ordering of
-every edge set.  The enumerator's list mode, the stitchers,
-`can_absorb` and the F-factor copies read no more than that.
-A caller that needs every ordering either weights each one by the
-product of its classes' sizes' factorials (`_class_weight`, as the
-orbit count does), turns the cut off (`cut=False`, as the absorbers'
-outer count of candidate paths does, because it reads the paths' ends)
-or matches what it compares in every order within classes (as the
-absorbers' inner searches do with the end tuples they collect).
+The search breaks one symmetry, and the orbit count a second.  A class
+is a set of positions that lie in exactly the same windows and draw
+from the same allowed mask; any permutation of the vertices inside
+classes keeps every window's vertex set.  So the search fills each
+class in ascending order (the class cut, one "vertex above the one at
+an earlier position" link per position), which keeps the first
+ordering it finds and the least ordering of every edge set.  The
+enumerator's list mode, the stitchers, `can_absorb` and the F-factor
+copies read no more than that.  A caller that needs every ordering
+either weights each one by the product of its classes' sizes'
+factorials (`_class_weight`, as `_cycle_orders` does for the orbit
+count), searches with no links (as the absorbers' outer count of
+candidate paths does, because it reads the paths' ends) or matches what
+it compares in every order within classes (as the absorbers' inner
+searches do with the end tuples they collect).  The orbit count also
+breaks the cyclic layout's reflection, where it has one: it searches
+one ordering of each mirror pair and counts it twice, through one more
+link or by skipping a phase (`_orbit_count`).
 
 Searches carry explicit node budgets, one node per position entered, so
 a budget bounds the nodes of the cut search tree; a partial result never
@@ -294,39 +299,44 @@ def _ordered_search(
     windows: Layout,
     allowed: Sequence[int],
     budget: Optional[_Budget],
-    cut: bool = True,
+    links: Optional[Sequence[int]] = None,
 ) -> Iterator[Tuple[Tuple[int, ...], int]]:
     """Yield, in lexicographic order, the orderings of len(allowed)
     vertices in which each window of the layout `windows` (position
-    tuples, each of k positions) is an edge of H, with `cut` only those
-    that fill every class (`_class_links`) in ascending order, grouped by
-    all but their last vertex: one (prefix, mask) per prefix, the prefix
-    filling positions 0..end-1 and the nonzero bitmask `mask` holding
-    every vertex that completes it at the last position, end.
+    tuples, each of k positions) is an edge of H and each position p with
+    links[p] >= 0 holds a vertex above the one at the earlier position
+    links[p], grouped by all but their last vertex: one (prefix, mask)
+    per prefix, the prefix filling positions 0..end-1 and the nonzero
+    bitmask `mask` holding every vertex that completes it at the last
+    position, end.  By default the links are the class links
+    (`_class_links`), the class cut, which fills every class in
+    ascending order; links of -1 everywhere keep every ordering.
 
     Positions are filled in order by one loop over a stack of
     per-position candidate masks.  Position p takes the vertices of the
     bitmask `allowed[p]` that are not yet placed, in ascending order; a
     one-bit mask pins p to its vertex.  The vertex must complete each
     window that closes there, so the candidates are cut down to those
-    windows' codegree masks, and with `cut` to the vertices above the
-    one at the last earlier position of p's class.  A window's mask is
-    looked up in H's any-order view (`Hypergraph._any_order`) under the
-    tuple of its other vertices in position order, as placed, so only a
-    key's first lookup sorts it; every later one is a dict hit.  The
+    windows' codegree masks, and to the vertices above the one at p's
+    link.  A window's mask is looked up in H's any-order view
+    (`Hypergraph._any_order`) under the tuple of its other vertices in
+    position order, as placed, so only a key's first lookup sorts it;
+    every later one is a dict hit.  The
     last position's candidates are all that remain to choose, so they
     are yielded as that mask, not placed one by one: a caller counts
     them by popcount, takes the lowest bit for the first ordering, or
-    lists them through `_orderings`.  The least ordering of each class orbit is the
-    class-sorted one, so the cut keeps a search's first ordering and the
-    least of every orbit; a caller that counts every ordering, or reads
-    what a permutation inside a class changes, passes cut=False.  With a
-    budget, entering a position spends one node, the last one included,
-    so a budget bounds the nodes of the tree the cut leaves.
+    lists them through `_orderings`.  The least ordering of each class
+    orbit is the class-sorted one, so the class cut keeps a search's
+    first ordering and the least of every orbit; a caller that counts
+    every ordering, or reads what a permutation inside a class changes,
+    passes links of -1.  With a budget, entering a position spends one
+    node, the last one included, so a budget bounds the nodes of the
+    tree the links leave.
     """
     length = len(allowed)
     closing = _plan(windows, length)[0]
-    links = _class_links(windows, allowed) if cut else [-1] * length
+    if links is None:
+        links = _class_links(windows, allowed)
     get = H._any_order().__getitem__
     end = length - 1
     order = [-1] * end  # the last position is never placed
@@ -377,32 +387,79 @@ def _pinned(length: int, pool: int, p: int, v: int) -> List[int]:
     return masks
 
 
+@functools.lru_cache(maxsize=256)
+def _reflection(windows: Layout, phases: int, n: int) -> Optional[int]:
+    """The least c < `phases` for which p -> (c - p) mod n maps the set
+    of windows of the cyclic layout `windows` on n >= 3 positions onto
+    itself, or None if there is none or n < 3."""
+    if n >= 3:
+        sets = set(map(frozenset, windows))
+        for c in range(phases):
+            if {frozenset((c - p) % n for p in w) for w in sets} == sets:
+                return c
+    return None
+
+
+def _mirror_link(links: List[int], s: int) -> bool:
+    """Link the mirror pair (E, L) about position s, L = 2s - E mod n > E,
+    with the least L such that both are classes of their own: set
+    links[L] = E, so that the vertex at L exceeds the one at E.  False,
+    and `links` unchanged, if there is no such pair."""
+    n = len(links)
+    alone = [q < 0 for q in links]
+    for q in links:
+        if q >= 0:
+            alone[q] = False
+    for last in range(n):
+        first = (2 * s - last) % n
+        if first < last and alone[first] and alone[last]:
+            links[last] = first
+            return True
+    return False
+
+
 def _cycle_orders(
     H: Hypergraph,
     blocks: Sequence[int],
     windows: Layout,
     phases: int,
     budget: _Budget,
-) -> Iterator[Tuple[List[int], Tuple[Tuple[int, ...], int]]]:
+    mirror: bool = False,
+) -> Iterator[Tuple[int, Tuple[Tuple[int, ...], int]]]:
     """Every cyclic ordering in which the blocks (vertex masks) fill
     consecutive arcs in order and every window of the cyclic layout
     `windows` is an edge, V_1's arc starting at a phase s < `phases`,
-    as `_ordered_search`'s (prefix, mask) items, each with the
-    per-position masks of the phase that found it.
+    as `_ordered_search`'s (prefix, mask) items under the class cut, each
+    with the number of such orderings that each of its orderings stands
+    for: the class weight (`_class_weight`) of its phase's masks.
 
     Rotating an ordering by a multiple of `phases` must keep the
     layout; then any such ordering has a rotation found here.  A single
     block fixes no rotation, so its lowest bit is pinned at position s
     instead.  The phases are searched in order and share the budget.
+    With `mirror` (one block only), the layout's reflection, if any
+    (`_reflection`), halves the search, and the weights are doubled to
+    match: a phase is skipped when its mirror phase is earlier, and a
+    phase that is its own mirror links one mirror pair of positions
+    (`_mirror_link`); `_orbit_count` states why this counts the same.
     """
     arcs = [block for block in blocks for _ in range(block.bit_count())]
     n = len(arcs)
+    c = _reflection(windows, phases, n) if mirror else None
     for s in range(phases):
         if len(blocks) == 1:
             allowed = _pinned(n, blocks[0], s, (blocks[0] & -blocks[0]).bit_length() - 1)
         else:
             allowed = arcs[n - s:] + arcs[:n - s]
-        yield from zip(itertools.repeat(allowed), _ordered_search(H, windows, allowed, budget))
+        links = _class_links(windows, allowed)
+        weight = _class_weight(windows, allowed)
+        if c is not None:
+            t = (c - s) % phases
+            if t < s:
+                continue  # counted, doubled, at phase t
+            if t > s or _mirror_link(links, s):
+                weight *= 2
+        yield from zip(itertools.repeat(weight), _ordered_search(H, windows, allowed, budget, links))
 
 
 def _search_cycle(
@@ -468,15 +525,36 @@ def _orbit_count(
     finds one ordering per orbit of the class permutations, and those
     that share all but their last vertex as one mask, counted by its
     popcount; each stands for the product of |class|! over the classes
-    of its phase's masks, vertex 0 being a class of its own.  The
-    search spends at most `budget` nodes, and its error names the host
-    it ran on.
+    of its phase's masks, vertex 0 being a class of its own.
+
+    It also searches only half of the orderings where W reflects: where
+    p -> (c - p) mod n maps the set of windows onto itself for some
+    c < `phases` (`_reflection` checks each c; an ell-cycle's is
+    (k-1) mod (k-ell), a power's 0).  For a phase s let t = (c - s) mod
+    `phases` and r(p) = (s + t - p) mod n: that reflection followed by a
+    rotation by a multiple of `phases`, so an automorphism of W.
+    Reading an ordering through r maps those with vertex 0 at s one to
+    one onto those with vertex 0 at t, and its inverse is t's map.  If
+    t != s, the two phases count the same, so only the lesser is
+    searched, and its count doubled.  If t = s, r(p) = 2s - p maps the
+    orderings at s onto themselves, and for n >= 3 fixes none of them,
+    since it swaps positions s - 1 and s + 1, which differ: they split
+    into mirror pairs, whose two members swap the vertices at E and at
+    L = 2s - E for every position E.  Where E and L are classes of their
+    own, the class permutations move neither vertex, so the orderings
+    with the larger vertex at L are a union of class orbits that holds
+    one of each mirror pair: half of them.  So the search links L to E
+    as the class cut links a class (`_mirror_link`, with the least such
+    L, where it prunes the most) and the phase's weight doubles.  A
+    phase with no such pair, or a layout with no reflection or n < 3, is
+    searched whole.  The count is the same either way.  The search
+    spends at most `budget` nodes, and its error names the host it ran
+    on.
     """
     host = H if H is not None else Hypergraph(1 + max(map(max, windows)), len(windows[0]), windows)
-    orders = _cycle_orders(host, ((1 << host.n) - 1,), windows, phases, _Budget(budget))
+    orders = _cycle_orders(host, ((1 << host.n) - 1,), windows, phases, _Budget(budget), True)
     try:
-        return sum(_class_weight(windows, allowed) * sum(mask.bit_count() for _, (_, mask) in found)
-                   for allowed, found in itertools.groupby(orders, operator.itemgetter(0)))
+        return sum(weight * mask.bit_count() for weight, (_, mask) in orders)
     except BudgetExceededError:
         search = "the host's cycle search" if H is not None else (
             "the cycle search on W, the window layout as a host")

@@ -218,7 +218,7 @@ def reference_classify(H, S, ell, t):
     allowed = (((1 << H.n) - 1) & ~s_mask,) * t
     count = 0
     layout = _windows(k, k - ell, t, False)
-    for order in _orderings(_ordered_search(H, layout, allowed, _Budget(None), cut=False)):
+    for order in _orderings(_ordered_search(H, layout, allowed, _Budget(None), [-1] * t)):
         interior = s_mask | vertex_mask(order[ell:t - ell])
         if _search_path(H, ell, order[:ell], order[t - ell:], interior, None) is not None:
             count += 1
@@ -253,8 +253,8 @@ def test_one_inner_search_per_prefix_and_interior(monkeypatch):
     S, ell, t = (0,), 2, 4
     calls = []
 
-    def spy(H, layout, allowed, budget, cut=True):
-        items = list(_ordered_search(H, layout, allowed, budget, cut))
+    def spy(H, layout, allowed, budget, links=None):
+        items = list(_ordered_search(H, layout, allowed, budget, links))
         calls.append((tuple(allowed), items))
         return iter(items)
 

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from spancount import (
     multinomial,
     log_growth_bound,
 )
+from spancount import paths
 from spancount.factors import matching_count_closed_form
 from spancount.paths import _Budget, _cycle_orders, _windows
 
@@ -140,6 +142,24 @@ def enumeration_nodes(n, k, ell):
     return limit - budget.remaining
 
 
+def count_nodes(H, ell):
+    """The least budget under which counting H's Hamilton ell-cycles
+    completes: the most nodes that one of its searches (H's own, then
+    W's, each with the whole budget) spends."""
+    spent = {}
+    spend = _Budget.spend
+
+    def spy(self):
+        spent[self] = spent.get(self, 0) + 1
+        spend(self)
+
+    paths._window_count.cache_clear()
+    with mock.patch.object(_Budget, "spend", spy):
+        enumerate_hamilton_ell_cycles(H, ell)
+    paths._window_count.cache_clear()
+    return max(spent.values())
+
+
 class TestExpectedRandomCount:
     def test_K5_half(self):
         # complete 5-cycle count 12, five edges at density 1/2: 12/32
@@ -209,9 +229,22 @@ class TestExpectedRandomCount:
 
     @pytest.mark.parametrize("n,k,ell", SMALL_CYCLES)
     def test_fits_any_budget_the_enumeration_fits(self, n, k, ell):
+        # the listing walks the whole tree; the count, which searches half of
+        # it where the layout has a reflection, stops at its own least budget
         nodes = enumeration_nodes(n, k, ell)
         K = complete(n, k)
-        enumerate_hamilton_ell_cycles(K, ell, budget=nodes)
+        enumerate_hamilton_ell_cycles(K, ell, mode="list", budget=nodes)
         with pytest.raises(BudgetExceededError):
-            enumerate_hamilton_ell_cycles(K, ell, budget=nodes - 1)
+            enumerate_hamilton_ell_cycles(K, ell, mode="list", budget=nodes - 1)
+        least = count_nodes(K, ell)
+        assert least <= nodes
+        enumerate_hamilton_ell_cycles(K, ell, budget=least)
+        with pytest.raises(BudgetExceededError):
+            enumerate_hamilton_ell_cycles(K, ell, budget=least - 1)
         assert expected_random_count(n, k, ell, 1, budget=nodes) > 0
+
+    @pytest.mark.parametrize("n,ell", [(9, 2), (8, 1)])
+    def test_the_count_spends_at_most_55_percent_of_the_enumeration(self, n, ell):
+        # the reflection halves the count's tree, bar the phases and mirror
+        # pairs it cannot split
+        assert 100 * count_nodes(complete(n, 3), ell) <= 55 * enumeration_nodes(n, 3, ell)

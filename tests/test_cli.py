@@ -760,7 +760,7 @@ class TestCountCommand:
 
     def test_expected_random_count_beyond_enumeration(self, tmp_path):
         # the host is W, so its own search and the one on W (count's denominator,
-        # which Psi shares) each spend 1,120 nodes; enumerating K_24^(3)'s
+        # which Psi shares) each spend 778 nodes; enumerating K_24^(3)'s
         # Hamilton 1-cycles would exhaust the budget
         hostfile = tmp_path / "pc.txt"
         assert main(["generate", "--family", "planted-cycle", "--n", "24", "--k", "3",

@@ -25,13 +25,16 @@ from spancount.bounds import expected_random_count
 from spancount.hypergraphs import Hypergraph, mask_vertices, vertex_mask
 from spancount.paths import (
     _Budget,
+    _class_links,
     _class_weight,
     _cycle_orders,
+    _mirror_link,
     _ordered_search,
     _orbit_count,
     _orderings,
     _pinned,
     _power_windows,
+    _reflection,
     _windows,
 )
 
@@ -213,13 +216,13 @@ def test_cut_yields_the_class_sorted_reference_orderings(search):
 def test_without_the_cut_the_kernel_is_the_reference(search, data):
     H, windows, length, allowed = search
     ref = list(reference_search(H, windows, length, allowed, None))
-    assert grouped(_ordered_search(H, windows, allowed, None, cut=False)) == ref
+    assert grouped(_ordered_search(H, windows, allowed, None, [-1] * length)) == ref
     nodes = nodes_of(H, windows, length, allowed)
     for limit in {nodes, nodes - 1, data.draw(st.integers(0, nodes))}:
-        found = _ordered_search(H, windows, allowed, _Budget(limit), cut=False)
+        found = _ordered_search(H, windows, allowed, _Budget(limit), [-1] * length)
         got = drain(_orderings(found))
         assert got == drain(reference_search(H, windows, length, allowed, _Budget(limit)))
-    assert drain(_ordered_search(H, windows, allowed, _Budget(nodes), cut=False))[1] is False
+    assert drain(_ordered_search(H, windows, allowed, _Budget(nodes), [-1] * length))[1] is False
 
 
 def test_a_pinned_position_breaks_no_class_chain():
@@ -306,11 +309,104 @@ def test_orbit_count_popcounts_are_the_weighted_expanded_orderings(data):
     H = gen_random(n, k, p, data.draw(st.integers(0, 10 ** 6)))
     everyone = (1 << n) - 1
     orders = _cycle_orders(H, (everyone,), windows, phases, _Budget(None))
-    expanded = sum(
-        _class_weight(windows, allowed) for allowed, item in orders for _ in _orderings([item])
-    )
+    expanded = sum(weight for weight, item in orders for _ in _orderings([item]))
     assert _orbit_count(windows, phases, None, H) == expanded
     pinned = (_pinned(n, everyone, s, 0) for s in range(phases))
     assert expanded == sum(
         1 for allowed in pinned for _ in reference_search(H, windows, n, allowed, None)
     )
+
+
+# -- the mirror cut --------------------------------------------------------
+
+
+def reference_orbit_count(H, windows, phases):
+    """The orderings of H's vertices with vertex 0 at a phase whose windows
+    are all edges of H, as the recursive search walks them: no class cut
+    and no mirror."""
+    n = H.n
+    pinned = (_pinned(n, (1 << n) - 1, s, 0) for s in range(phases))
+    return sum(1 for allowed in pinned for _ in reference_search(H, windows, n, allowed, None))
+
+
+# (k, ell, n) of every ell-cycle layout with 0 <= ell < k <= 4 on at most 8
+# positions, n = 3, n = k and k < n < 2k among them
+MIRROR_CYCLES = [
+    (k, ell, n)
+    for k in range(2, 5)
+    for ell in range(k)
+    for n in range(k, 9)
+    if n % (k - ell) == 0
+]
+
+
+@pytest.mark.parametrize("k,ell,n", MIRROR_CYCLES)
+def test_the_mirror_count_is_the_reference_count_on_cycle_layouts(k, ell, n):
+    windows, phases = EllCycle.layout(k, ell, n)
+    W = Hypergraph(n, k, windows)
+    assert _orbit_count(windows, phases, None) == reference_orbit_count(W, windows, phases)
+    for p, seed in ((1.0, 0), (0.8, n), (0.6, k)):
+        H = gen_random(n, k, p, seed)
+        assert _orbit_count(windows, phases, None, H) == reference_orbit_count(H, windows, phases)
+
+
+@pytest.mark.parametrize("k,t,n", [
+    (2, 2, 3), (2, 3, 5), (2, 3, 6), (2, 4, 7), (3, 3, 4), (3, 4, 6), (3, 4, 7), (3, 5, 8),
+    (4, 4, 5), (4, 5, 7),
+])
+def test_the_mirror_count_is_the_reference_count_on_power_layouts(k, t, n):
+    windows, phases = PowerCycle.layout(k, t, n)
+    W = Hypergraph(n, k, windows)
+    assert _orbit_count(windows, phases, None) == reference_orbit_count(W, windows, phases)
+    for p, seed in ((1.0, 0), (0.9, n)):
+        H = gen_random(n, k, p, seed)
+        assert _orbit_count(windows, phases, None, H) == reference_orbit_count(H, windows, phases)
+
+
+@pytest.mark.parametrize("k,ell,n", MIRROR_CYCLES)
+def test_the_layouts_reflect_about_the_expected_centre(k, ell, n):
+    # an ell-cycle reflects about (k-1) mod (k-ell), or about 0 too at n = k,
+    # where its one window is every position; a power reflects about 0, and a
+    # layout on fewer than 3 positions is left alone
+    windows, phases = EllCycle.layout(k, ell, n)
+    centre = None if n < 3 else 0 if n == k else (k - 1) % (k - ell)
+    assert _reflection(windows, phases, n) == centre
+    power, one = PowerCycle.layout(k, k + 1, n + 1)
+    assert _reflection(power, one, n + 1) == 0
+
+
+def test_an_asymmetric_layout_has_no_reflection():
+    # p -> -p maps {0, 1, 2} to {0, 3, 2}, which is no window
+    assert _reflection(((0, 1, 2), (0, 1, 3)), 1, 4) is None
+
+
+def test_a_self_mirrored_phase_links_its_least_singleton_pair():
+    # (9, 3, 0): phase 1 mirrors onto itself, but every position save the
+    # pinned one lies in a class of three
+    windows, phases = EllCycle.layout(3, 0, 9)
+    assert _reflection(windows, phases, 9) == 2
+    links = _class_links(windows, _pinned(9, (1 << 9) - 1, 1, 0))
+    assert not _mirror_link(links, 1)
+    # (8, 3, 1), phase 0: every position is a class of its own, and of the
+    # pairs (1, 7), (2, 6) and (3, 5) about 0, (3, 5) closes first
+    windows, phases = EllCycle.layout(3, 1, 8)
+    links = _class_links(windows, _pinned(8, (1 << 8) - 1, 0, 0))
+    assert links == [-1] * 8
+    assert _mirror_link(links, 0) and links == [-1] * 5 + [3, -1, -1]
+
+
+# (n, k, ell) with 1 <= ell < k <= 5, 2k <= n <= 3k and (k-ell) | n
+WINDOW_HOSTS = [
+    (n, k, ell)
+    for k in range(2, 6)
+    for ell in range(1, k)
+    for n in range(2 * k, 3 * k + 1)
+    if n % (k - ell) == 0
+]
+
+
+@pytest.mark.parametrize("n,k,ell", WINDOW_HOSTS)
+def test_the_window_host_count_is_twice_the_class_weight(n, k, ell):
+    # N_W: one reflection times the permutations inside W's classes
+    windows, phases = EllCycle.layout(k, ell, n)
+    assert _orbit_count(windows, phases, None) == 2 * _class_weight(windows, [(1 << n) - 1] * n)

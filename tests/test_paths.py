@@ -179,13 +179,16 @@ class TestEnumeration:
         assert enumerate_hamilton_ell_cycles(H, ell) == len(listed)
 
     def test_the_window_host_is_not_searched_without_a_cycle(self):
-        # the one-edge host's search spends 62 nodes, the window host's 182
+        # the one-edge host's search spends 54 nodes, the window host's 134
         H = Hypergraph(10, 3, [(0, 1, 2)])
-        assert enumerate_hamilton_ell_cycles(H, 1, budget=62) == 0
+        assert enumerate_hamilton_ell_cycles(H, 1, budget=54) == 0
         with pytest.raises(BudgetExceededError):
-            enumerate_hamilton_ell_cycles(H, 1, budget=61)
+            enumerate_hamilton_ell_cycles(H, 1, budget=53)
         with pytest.raises(BudgetExceededError):
-            _orbit_count(*EllCycle.layout(3, 1, 10), 62)
+            _orbit_count(*EllCycle.layout(3, 1, 10), 54)
+        assert _orbit_count(*EllCycle.layout(3, 1, 10), 134) == 2
+        with pytest.raises(BudgetExceededError):
+            _orbit_count(*EllCycle.layout(3, 1, 10), 133)
 
 
 @st.composite
